@@ -3,8 +3,10 @@ package coherence
 import (
 	"math/rand"
 	"testing"
+	"testing/quick"
 
 	"secdir/internal/addr"
+	"secdir/internal/cachesim"
 	"secdir/internal/config"
 	"secdir/internal/directory"
 )
@@ -214,5 +216,38 @@ func TestFlushCore(t *testing.T) {
 	}
 	if err := e.CheckInvariants(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestSlicePartitionProperty pins the address-partition function: every line
+// maps to exactly one home slice, the mapping is a pure function of the line
+// (stable across mapper instances), and the directory set index the engine
+// hands the slices — the cachesim shift-and-mask fast path — agrees with the
+// mapper's Set for every line.
+func TestSlicePartitionProperty(t *testing.T) {
+	cfg := smallConfig(config.SecDir)
+	m := addr.NewMapper(cfg.Cores, cfg.TDSets)
+	m2 := addr.NewMapper(cfg.Cores, cfg.TDSets)
+	index := cachesim.ShiftIndex(addr.SetShift, cfg.TDSets)
+
+	prop := func(raw uint64) bool {
+		l := addr.Line(raw & (1<<34 - 1))
+		s := m.Slice(l)
+		if s < 0 || s >= cfg.Cores {
+			t.Errorf("line %#x: slice %d out of range", uint64(l), s)
+			return false
+		}
+		if m2.Slice(l) != s || m2.Set(l) != m.Set(l) {
+			t.Errorf("line %#x: mapping not stable across mapper instances", uint64(l))
+			return false
+		}
+		if index.Of(l) != m.Set(l) {
+			t.Errorf("line %#x: ShiftIndex set %d != mapper set %d", uint64(l), index.Of(l), m.Set(l))
+			return false
+		}
+		return true
+	}
+	if err := quick.Check(prop, &quick.Config{MaxCount: 5000}); err != nil {
+		t.Error(err)
 	}
 }

@@ -115,7 +115,6 @@ func RunShard(ctx context.Context, o Options, start, count int, emit func(TrialR
 			// Engine.Reset between trials is bit-identical to a fresh build,
 			// so which worker runs which trial still cannot matter.
 			var te trialEngine
-			defer te.close()
 			for {
 				i := int(atomic.AddInt64(&next, 1))
 				if i >= count {

@@ -224,6 +224,14 @@ func (s *Server) runJob(j *Job) {
 	}
 	s.jobMillis.Observe(uint64(time.Since(start).Milliseconds()))
 
+	// The job's engines are quiescent now; fold their counters into the
+	// cumulative simulation snapshot before the terminal state is visible,
+	// so a client that sees the job finish also sees its counters.
+	snap := jobReg.Snapshot()
+	s.mu.Lock()
+	s.cum = s.cum.Merge(snap)
+	s.mu.Unlock()
+
 	now := time.Now()
 	switch {
 	case err == nil:
@@ -243,13 +251,6 @@ func (s *Server) runJob(j *Job) {
 		s.failed.Inc()
 		s.recordJob(j, StateFailed, nil)
 	}
-
-	// The job's engines are quiescent now; fold their counters into the
-	// cumulative simulation snapshot.
-	snap := jobReg.Snapshot()
-	s.mu.Lock()
-	s.cum = s.cum.Merge(snap)
-	s.mu.Unlock()
 }
 
 // apiError is the JSON error body every non-2xx response carries.
@@ -298,29 +299,48 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusServiceUnavailable, "server is draining; not accepting jobs")
 		return
 	}
-	s.nextID++
-	id := fmt.Sprintf("job-%d", s.nextID)
 	ctx, cancel := context.WithCancel(context.Background())
-	job := newJob(id, spec, ctx, cancel, time.Now())
-	select {
-	case s.queue <- job:
-		s.jobs[id] = job
-		s.order = append(s.order, id)
-		s.mu.Unlock()
-		s.submitted.Inc()
-		// The submission record is what lets a -store-dir restart re-submit
-		// jobs a SIGKILL caught before they finished.
-		s.recordJob(job, StateQueued, nil)
-		writeJSON(w, http.StatusAccepted, job.Status())
-	default:
-		s.nextID-- // not accepted; reuse the ID
-		s.mu.Unlock()
+	job := newJob(fmt.Sprintf("job-%d", s.nextID+1), spec, ctx, cancel, time.Now())
+	status := job.Status()
+	ok, storeErr := s.enqueueLocked(job)
+	if ok {
+		s.nextID++
+	}
+	s.mu.Unlock()
+	if storeErr != nil {
+		s.noteStoreErr(storeErr)
+	}
+	if !ok {
 		cancel()
 		s.rejected.Inc()
 		w.Header().Set("Retry-After", "1")
 		writeError(w, http.StatusTooManyRequests,
 			"job queue full (%d queued); retry later", s.cfg.QueueDepth)
+		return
 	}
+	s.submitted.Inc()
+	writeJSON(w, http.StatusAccepted, status)
+}
+
+// enqueueLocked hands a new job to the worker pool and reports false, having
+// done nothing, when the queue is full. The caller holds s.mu. Every queue
+// sender holds it too, so the capacity check guarantees the send cannot
+// block. The job's "queued" ledger record is appended before the send: once
+// a worker can see the job, every record it writes for that job lands after
+// the submission record, which is what lets a -store-dir restart re-submit
+// exactly the jobs a SIGKILL caught before they finished. Append only hashes
+// and hands the line to the store's writer, so holding s.mu across it costs
+// no I/O. A store failure is returned for the caller to note after
+// unlocking; it never rejects the job.
+func (s *Server) enqueueLocked(j *Job) (bool, error) {
+	if len(s.queue) == cap(s.queue) {
+		return false, nil
+	}
+	err := appendJob(s.st, j, StateQueued, nil)
+	s.queue <- j
+	s.jobs[j.ID] = j
+	s.order = append(s.order, j.ID)
+	return true, err
 }
 
 // lookup resolves {id} or writes a 404.

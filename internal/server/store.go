@@ -66,7 +66,7 @@ func (s *Server) AttachStore(st *store.Store) (*StoreRecovery, error) {
 	}
 
 	rc := &StoreRecovery{}
-	var resubmitted []*Job
+	var storeErrs []error
 	now := time.Now()
 	s.mu.Lock()
 	s.st = st
@@ -97,18 +97,21 @@ func (s *Server) AttachStore(st *store.Store) (*StoreRecovery, error) {
 			s.order = append(s.order, id)
 			rc.Restored++
 		case string(StateQueued), string(StateRequeued):
+			// The resubmission itself is an auditable event: each
+			// re-enqueued job gets a fresh "queued" record, so the ledger
+			// reads queued → requeued → queued → done across the restart.
 			ctx, cancel := context.WithCancel(context.Background())
 			j := newJob(id, spec, ctx, cancel, now)
-			select {
-			case s.queue <- j:
-				s.jobs[id] = j
-				s.order = append(s.order, id)
-				rc.Resubmitted = append(rc.Resubmitted, id)
-				resubmitted = append(resubmitted, j)
-			default:
+			ok, err := s.enqueueLocked(j)
+			if err != nil {
+				storeErrs = append(storeErrs, err)
+			}
+			if !ok {
 				cancel()
 				rc.Dropped = append(rc.Dropped, id+": queue full on resubmission")
+				continue
 			}
+			rc.Resubmitted = append(rc.Resubmitted, id)
 		default:
 			rc.Dropped = append(rc.Dropped, id+": unknown recorded state "+rec.State)
 		}
@@ -117,11 +120,8 @@ func (s *Server) AttachStore(st *store.Store) (*StoreRecovery, error) {
 		s.nextID = maxID
 	}
 	s.mu.Unlock()
-	// The resubmission itself is an auditable event: each re-enqueued job gets
-	// a fresh "queued" record, so the ledger reads
-	// queued → requeued → queued → done across the restart.
-	for _, j := range resubmitted {
-		s.recordJob(j, StateQueued, nil)
+	for _, err := range storeErrs {
+		s.noteStoreErr(err)
 	}
 	return rc, nil
 }
@@ -151,9 +151,16 @@ func (s *Server) storeHandle() *store.Store {
 // first. Failures never fail the job: they are counted and surfaced in
 // /storez.
 func (s *Server) recordJob(j *Job, state JobState, result any) {
-	st := s.storeHandle()
+	if err := appendJob(s.storeHandle(), j, state, result); err != nil {
+		s.noteStoreErr(err)
+	}
+}
+
+// appendJob is recordJob against an explicit store (nil: no-op), for callers
+// that already hold s.mu.
+func appendJob(st *store.Store, j *Job, state JobState, result any) error {
 	if st == nil {
-		return
+		return nil
 	}
 	rec, err := jobRecord(j, state)
 	if err == nil && result != nil {
@@ -162,9 +169,7 @@ func (s *Server) recordJob(j *Job, state JobState, result any) {
 	if err == nil {
 		_, err = st.Append(rec)
 	}
-	if err != nil {
-		s.noteStoreErr(err)
-	}
+	return err
 }
 
 // jobRecord builds the ledger record describing j at state.
@@ -175,18 +180,16 @@ func jobRecord(j *Job, state JobState) (store.RunRecord, error) {
 	}
 	status := j.Status()
 	rec := store.RunRecord{
-		Kind:         store.KindJob,
-		JobID:        j.ID,
-		State:        string(state),
-		Spec:         spec,
-		Seed:         j.Spec.Seed,
-		EngineShards: j.Spec.EngineShards,
-		EngineWindow: j.Spec.EngineWindow,
-		Strategy:     strings.Join(j.Spec.Strategies, ","),
-		Submitted:    status.Submitted,
-		Started:      status.Started,
-		Finished:     status.Finished,
-		Err:          status.Err,
+		Kind:      store.KindJob,
+		JobID:     j.ID,
+		State:     string(state),
+		Spec:      spec,
+		Seed:      j.Spec.Seed,
+		Strategy:  strings.Join(j.Spec.Strategies, ","),
+		Submitted: status.Submitted,
+		Started:   status.Started,
+		Finished:  status.Finished,
+		Err:       status.Err,
 	}
 	return rec, nil
 }

@@ -4,10 +4,16 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"io"
+	"io/fs"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"reflect"
+	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -267,5 +273,179 @@ func TestStorezReportsChainHead(t *testing.T) {
 	}
 	if body.LastError != "" {
 		t.Errorf("unexpected store error surfaced: %s", body.LastError)
+	}
+}
+
+// copyTree copies a store directory into a fresh temp dir, so a test never
+// appends to a checked-in fixture.
+func copyTree(t *testing.T, src string) string {
+	t.Helper()
+	dst := t.TempDir()
+	err := filepath.WalkDir(src, func(p string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		rel, err := filepath.Rel(src, p)
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			return os.MkdirAll(filepath.Join(dst, rel), 0o755)
+		}
+		data, err := os.ReadFile(p)
+		if err != nil {
+			return err
+		}
+		return os.WriteFile(filepath.Join(dst, rel), data, 0o644)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return dst
+}
+
+// resultField extracts the compact "result" member of a /jobs/{id}/result
+// body.
+func resultField(t *testing.T, body []byte) []byte {
+	t.Helper()
+	var rb struct {
+		Result json.RawMessage `json:"result"`
+	}
+	if err := json.Unmarshal(body, &rb); err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := json.Compact(&buf, rb.Result); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// TestStoreReplaysLegacyEngineLedger: a ledger written when job specs still
+// carried engine_shards/engine_window replays on today's serial engine. The
+// done job serves its recorded result, and the job whose last record is
+// "queued" re-runs to that same result.
+func TestStoreReplaysLegacyEngineLedger(t *testing.T) {
+	dir := copyTree(t, filepath.Join("..", "store", "testdata", "legacy-engine-ledger"))
+	s := newStoredServer(t, quickConfig(), dir)
+	if s.rc.Restored != 1 || len(s.rc.Resubmitted) != 1 || s.rc.Resubmitted[0] != "job-2" || len(s.rc.Dropped) != 0 {
+		t.Fatalf("legacy replay: %+v, want job-1 restored and job-2 resubmitted", s.rc)
+	}
+	recs, err := s.st.Records()
+	if err != nil {
+		t.Fatal(err)
+	}
+	recorded, err := s.st.Artifact(recs[1].ResultDigest)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := resultField(t, s.resultBytes(t, "job-1")); !bytes.Equal(got, recorded) {
+		t.Errorf("job-1 result %s, recorded %s", got, recorded)
+	}
+	s.waitState(t, "job-2", StateDone, 30*time.Second)
+	if got := resultField(t, s.resultBytes(t, "job-2")); !bytes.Equal(got, recorded) {
+		t.Errorf("job-2 re-ran serially to %s, recorded sharded result %s", got, recorded)
+	}
+
+	s.shutdown(t)
+	b, err := store.OpenDisk(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer b.Close()
+	if _, err := store.VerifyChain(b); err != nil {
+		t.Errorf("legacy chain after replay: %v", err)
+	}
+}
+
+// TestSubmitRejectsRemovedEngineOption: the sharded engine is gone, and a
+// spec that still asks for it fails loudly rather than running serially
+// unannounced.
+func TestSubmitRejectsRemovedEngineOption(t *testing.T) {
+	s := newTestServer(t, quickConfig())
+	resp, err := http.Post(s.ts.URL+"/jobs", "application/json",
+		strings.NewReader(`{"kind":"replay","workload":"uniform:256","engine_shards":2}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var e apiError
+	if err := json.NewDecoder(resp.Body).Decode(&e); err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusBadRequest || !strings.Contains(e.Error, "engine_shards") {
+		t.Fatalf("engine_shards spec: HTTP %d %q, want 400 naming engine_shards", resp.StatusCode, e.Error)
+	}
+}
+
+// TestSubmitRecordsQueuedBeforeWorkersSeeJob: under many concurrent quick
+// submissions to a busy pool, every 202 still reports "queued", and every
+// job's "queued" ledger record precedes its terminal record — so a restart
+// (last record wins) can never re-queue a finished job.
+func TestSubmitRecordsQueuedBeforeWorkersSeeJob(t *testing.T) {
+	cfg := quickConfig()
+	cfg.Workers = 4
+	cfg.QueueDepth = 64
+	s := newStoredServer(t, cfg, t.TempDir())
+
+	const jobs = 48
+	body, err := json.Marshal(quickReplay())
+	if err != nil {
+		t.Fatal(err)
+	}
+	statuses := make([]JobStatus, jobs)
+	errs := make([]error, jobs)
+	var wg sync.WaitGroup
+	for i := 0; i < jobs; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			resp, err := http.Post(s.ts.URL+"/jobs", "application/json", bytes.NewReader(body))
+			if err != nil {
+				errs[i] = err
+				return
+			}
+			defer resp.Body.Close()
+			if resp.StatusCode != http.StatusAccepted {
+				errs[i] = fmt.Errorf("HTTP %d", resp.StatusCode)
+				return
+			}
+			errs[i] = json.NewDecoder(resp.Body).Decode(&statuses[i])
+		}(i)
+	}
+	wg.Wait()
+	for i, st := range statuses {
+		if errs[i] != nil {
+			t.Fatalf("submit %d: %v", i, errs[i])
+		}
+		if st.State != StateQueued {
+			t.Errorf("submit %d (%s): 202 reported %s, want %s", i, st.ID, st.State, StateQueued)
+		}
+	}
+	for _, st := range statuses {
+		s.waitState(t, st.ID, StateDone, 30*time.Second)
+	}
+
+	recs, err := s.st.Records()
+	if err != nil {
+		t.Fatal(err)
+	}
+	queuedAt := map[string]int64{}
+	doneAt := map[string]int64{}
+	for _, rec := range recs {
+		switch rec.State {
+		case string(StateQueued):
+			queuedAt[rec.JobID] = rec.Index
+		case string(StateDone):
+			doneAt[rec.JobID] = rec.Index
+		}
+	}
+	for _, st := range statuses {
+		q, okQ := queuedAt[st.ID]
+		d, okD := doneAt[st.ID]
+		if !okQ || !okD || q >= d {
+			t.Errorf("%s: queued record %d (present %v), done record %d (present %v); queued must come first",
+				st.ID, q, okQ, d, okD)
+		}
 	}
 }

@@ -97,10 +97,12 @@ type RunRecord struct {
 	Spec json.RawMessage `json:"spec,omitempty"`
 	// Seed is the run's master seed.
 	Seed int64 `json:"seed,omitempty"`
-	// EngineShards and EngineWindow are the engine options the run executed
-	// with (0 = serial engine / no windowing).
+	// EngineShards and EngineWindow are legacy fields: ledgers written while
+	// the simulator had a sharded engine and conflict-window scheduler
+	// recorded those options here. New records never set them; they stay
+	// so old records still decode strictly and re-hash to their chain.
 	EngineShards int `json:"engine_shards,omitempty"`
-	// EngineWindow is the conflict-window size used (0 = none).
+	// EngineWindow is the legacy conflict-window size (see EngineShards).
 	EngineWindow int `json:"engine_window,omitempty"`
 	// Strategy names the attack strategies of a leakage run.
 	Strategy string `json:"strategy,omitempty"`

@@ -3,6 +3,7 @@ package store
 import (
 	"bytes"
 	"fmt"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"strings"
@@ -245,5 +246,69 @@ func TestTornTailRepair(t *testing.T) {
 	}
 	if rep, err := VerifyChain(s2.Backend()); err != nil || rep.Records != 4 {
 		t.Fatalf("repaired chain does not verify: %+v %v", rep, err)
+	}
+}
+
+// legacyLedger is a store written before the sharded engine was removed: a
+// replay job run with engine_shards 2 and engine_window 8 that finished, and
+// a second identical job whose last record is "queued".
+const legacyLedger = "testdata/legacy-engine-ledger"
+
+// copyTree copies a store directory into a fresh temp dir, so tests never
+// append to the checked-in fixture.
+func copyTree(t *testing.T, src string) string {
+	t.Helper()
+	dst := t.TempDir()
+	err := filepath.WalkDir(src, func(p string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		rel, err := filepath.Rel(src, p)
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			return os.MkdirAll(filepath.Join(dst, rel), 0o755)
+		}
+		data, err := os.ReadFile(p)
+		if err != nil {
+			return err
+		}
+		return os.WriteFile(filepath.Join(dst, rel), data, 0o644)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return dst
+}
+
+// TestLegacyEngineLedgerVerifies: records carrying the legacy
+// engine_shards/engine_window fields still decode strictly and re-hash to
+// their chain, so old ledgers keep passing VerifyChain.
+func TestLegacyEngineLedgerVerifies(t *testing.T) {
+	b, err := OpenDisk(copyTree(t, legacyLedger))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer b.Close()
+	rep, err := VerifyChain(b)
+	if err != nil {
+		t.Fatalf("legacy ledger: %v", err)
+	}
+	if rep.Records != 3 || rep.ArtifactsChecked != 1 {
+		t.Fatalf("legacy ledger verified %+v, want 3 records and 1 artifact", rep)
+	}
+	lines, err := b.ReadLedger()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, line := range lines {
+		rec, err := DecodeRecord(line)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rec.EngineShards != 2 || rec.EngineWindow != 8 {
+			t.Errorf("record %d: engine_shards/engine_window = %d/%d, want 2/8", i, rec.EngineShards, rec.EngineWindow)
+		}
 	}
 }
