@@ -251,3 +251,11 @@ func TestSlicePartitionProperty(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestNewEngineRejectsTooManyCores: a machine wider than the 64-bit sharer
+// set is refused at construction rather than silently dropping sharers.
+func TestNewEngineRejectsTooManyCores(t *testing.T) {
+	if _, err := NewEngine(config.SecDirConfig(128)); err == nil {
+		t.Fatal("NewEngine accepted a 128-core machine")
+	}
+}

@@ -138,24 +138,7 @@ func TestDifferentialMemoryImage(t *testing.T) {
 		sweep = append(sweep, l)
 	}
 
-	unfixed := smallConfig(config.Baseline)
-	unfixed.AppendixAFix = false
-	fixed := smallConfig(config.Baseline)
-	fixed.AppendixAFix = true
-	designs := []struct {
-		name string
-		cfg  config.Config
-	}{
-		{"skylake-unfixed", unfixed},
-		{"skylake-fixed", fixed},
-		{"secdir", smallConfig(config.SecDir)},
-		{"way-partitioned", smallConfig(config.WayPartitioned)},
-		{"rand-mapped", smallConfig(config.RandMapped)},
-		{"skewed", smallConfig(config.SkewedDir)},
-		{"dls", smallConfig(config.DLS)},
-		{"tag-partitioned", smallConfig(config.TagPartitioned)},
-		{"ceaser", smallConfig(config.Ceaser)},
-	}
+	designs := allDesigns(smallConfig)
 
 	images := make([]map[addr.Line]uint64, len(designs))
 	for di, d := range designs {

@@ -16,7 +16,7 @@ import (
 // invariants and the memory image. The leakage lab's per-worker engine pool
 // rests on this exactness (worker-count invariance would otherwise break).
 func TestResetBitIdentical(t *testing.T) {
-	for _, d := range allDesigns() {
+	for _, d := range allDesigns(smallConfig) {
 		t.Run(d.name, func(t *testing.T) {
 			bursts := seededBursts(d.cfg.Cores)
 			freshCfg := d.cfg.WithSeed(d.cfg.Seed + 555)
@@ -54,30 +54,28 @@ func TestResetBitIdentical(t *testing.T) {
 	}
 }
 
-// allDesigns are the nine directory designs Reset must restore
-// bit-identically: every kind the engine supports, plus the unfixed
-// Skylake-X baseline whose inclusion-victim behaviour differs.
-func allDesigns() []struct {
+// design is one named directory configuration under test.
+type design struct {
 	name string
 	cfg  config.Config
-} {
-	unfixed := smallConfig(config.Baseline)
-	unfixed.AppendixAFix = false
-	fixed := smallConfig(config.Baseline)
-	fixed.AppendixAFix = true
-	return []struct {
-		name string
-		cfg  config.Config
-	}{
+}
+
+// allDesigns returns the nine directory designs, built by cfgOf at its
+// geometry: every kind the engine supports, plus the unfixed Skylake-X
+// baseline whose inclusion-victim behaviour differs.
+func allDesigns(cfgOf func(config.DirectoryKind) config.Config) []design {
+	unfixed, fixed := cfgOf(config.Baseline), cfgOf(config.Baseline)
+	unfixed.AppendixAFix, fixed.AppendixAFix = false, true
+	return []design{
 		{"skylake-unfixed", unfixed},
 		{"skylake-fixed", fixed},
-		{"secdir", smallConfig(config.SecDir)},
-		{"way-partitioned", smallConfig(config.WayPartitioned)},
-		{"rand-mapped", smallConfig(config.RandMapped)},
-		{"skewed", smallConfig(config.SkewedDir)},
-		{"dls", smallConfig(config.DLS)},
-		{"tag-partitioned", smallConfig(config.TagPartitioned)},
-		{"ceaser", smallConfig(config.Ceaser)},
+		{"secdir", cfgOf(config.SecDir)},
+		{"way-partitioned", cfgOf(config.WayPartitioned)},
+		{"rand-mapped", cfgOf(config.RandMapped)},
+		{"skewed", cfgOf(config.SkewedDir)},
+		{"dls", cfgOf(config.DLS)},
+		{"tag-partitioned", cfgOf(config.TagPartitioned)},
+		{"ceaser", cfgOf(config.Ceaser)},
 	}
 }
 

@@ -382,11 +382,16 @@ func (c Config) VDEntriesPerCore() int {
 	return c.Cores * c.VDSets * c.VDWays
 }
 
+// MaxCores is the largest machine the simulator models: directory sharer
+// sets are one 64-bit presence vector (directory.Bitset). Larger machines are
+// analysed analytically in internal/area.
+const MaxCores = 64
+
 // Validate checks structural requirements and returns a descriptive error.
 func (c Config) Validate() error {
 	switch {
-	case c.Cores <= 0 || c.Cores&(c.Cores-1) != 0:
-		return fmt.Errorf("config: cores must be a positive power of two, got %d", c.Cores)
+	case c.Cores <= 0 || c.Cores&(c.Cores-1) != 0 || c.Cores > MaxCores:
+		return fmt.Errorf("config: cores must be a power of two in [1,%d], got %d", MaxCores, c.Cores)
 	case c.TDSets != c.EDSets:
 		return fmt.Errorf("config: TD and ED must have the same set count (%d != %d); entries migrate within a set index", c.TDSets, c.EDSets)
 	case c.Kind == SecDir && (c.VDSets <= 0 || c.VDWays <= 0):

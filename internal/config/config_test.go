@@ -59,7 +59,8 @@ func TestValidateRejections(t *testing.T) {
 	bad := []func(*Config){
 		func(c *Config) { c.Cores = 3 },
 		func(c *Config) { c.Cores = 0 },
-		func(c *Config) { c.EDSets = 1024 }, // TD/ED set mismatch
+		func(c *Config) { c.Cores = 2 * MaxCores }, // sharer sets are 64-bit
+		func(c *Config) { c.EDSets = 1024 },        // TD/ED set mismatch
 		func(c *Config) { c.L2Sets = 1000 },
 		func(c *Config) { c.Kind = SecDir; c.VDSets = 0 },
 		func(c *Config) { c.DisableEDTD = true }, // requires SecDir
@@ -70,6 +71,9 @@ func TestValidateRejections(t *testing.T) {
 		if err := c.Validate(); err == nil {
 			t.Errorf("case %d: invalid config accepted", i)
 		}
+	}
+	if err := SecDirConfig(MaxCores).Validate(); err != nil {
+		t.Errorf("%d-core SecDir rejected: %v", MaxCores, err)
 	}
 }
 

@@ -17,8 +17,8 @@ import (
 )
 
 // Bitset is a presence bit vector over cores ("full-mapped" encoding, §7).
-// The simulator supports up to 64 cores; larger machines are analysed
-// analytically in internal/area.
+// Its 64 bits cap the simulated machine at config.MaxCores; larger machines
+// are analysed analytically in internal/area.
 type Bitset uint64
 
 // Set returns the bitset with core's bit set.

@@ -77,9 +77,7 @@ func (s *Server) runFleetJob(ctx context.Context, c *fleet.Coordinator, j *Job) 
 // when every shard slot is busy (the coordinator retries with backoff).
 func (s *Server) handleShard(w http.ResponseWriter, r *http.Request) {
 	var req fleet.ShardRequest
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
+	if err := decodeBody(w, r.Body, &req); err != nil {
 		writeError(w, http.StatusBadRequest, "bad shard request: %v", err)
 		return
 	}
@@ -149,9 +147,7 @@ func (s *Server) handleFleetRegister(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req fleet.RegisterRequest
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
+	if err := decodeBody(w, r.Body, &req); err != nil {
 		writeError(w, http.StatusBadRequest, "bad register request: %v", err)
 		return
 	}

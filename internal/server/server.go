@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"sync"
 	"time"
@@ -273,13 +274,19 @@ func writeError(w http.ResponseWriter, code int, format string, args ...any) {
 	writeJSON(w, code, apiError{Error: fmt.Sprintf(format, args...)})
 }
 
+// decodeBody decodes one JSON request body into v, rejecting unknown fields
+// and bodies over 1 MiB — the decode every handler applies to untrusted input.
+func decodeBody(w http.ResponseWriter, body io.ReadCloser, v any) error {
+	dec := json.NewDecoder(http.MaxBytesReader(w, body, 1<<20))
+	dec.DisallowUnknownFields()
+	return dec.Decode(v)
+}
+
 // handleSubmit accepts a JobSpec, queues it, and answers 202 with the job
 // status; 400 on a bad spec, 429 when the queue is full, 503 while draining.
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	var spec JobSpec
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&spec); err != nil {
+	if err := decodeBody(w, r.Body, &spec); err != nil {
 		writeError(w, http.StatusBadRequest, "bad job spec: %v", err)
 		return
 	}

@@ -489,6 +489,9 @@ func TestBadSpecRejected(t *testing.T) {
 		`{"kind":"replay","workload":"wat"}`, // parse failure happens at run time
 		`{"kind":"experiment","experiments":["ZZ"]}`,
 		`{"kind":"replay","cores":3}`,
+		`{"kind":"replay","cores":128,"workload":"x264"}`, // sharer sets hold 64 cores
+		`{"kind":"leak","cores":128}`,
+		`{"kind":"replay","cores":1099511627776}`,
 		`{"unknown_field":1,"kind":"replay"}`,
 	} {
 		resp, err := http.Post(s.ts.URL+"/jobs", "application/json", strings.NewReader(body))

@@ -14,6 +14,7 @@ import (
 	"strings"
 
 	"secdir/internal/addr"
+	"secdir/internal/config"
 	"secdir/internal/leakage"
 	"secdir/internal/trace"
 )
@@ -59,7 +60,8 @@ type JobSpec struct {
 	// submit longer runs explicitly for paper-grade numbers).
 	Warmup  uint64 `json:"warmup,omitempty"`
 	Measure uint64 `json:"measure,omitempty"`
-	// Cores is the machine size (default 8, power of two).
+	// Cores is the machine size (default 8, a power of two up to
+	// config.MaxCores).
 	Cores int `json:"cores,omitempty"`
 	// Seed makes runs reproducible (default 1).
 	Seed int64 `json:"seed,omitempty"`
@@ -111,8 +113,8 @@ func (s *JobSpec) Normalize() error {
 	if s.Cores == 0 {
 		s.Cores = 8
 	}
-	if s.Cores <= 0 || s.Cores&(s.Cores-1) != 0 {
-		return fmt.Errorf("cores must be a positive power of two, got %d", s.Cores)
+	if s.Cores <= 0 || s.Cores&(s.Cores-1) != 0 || s.Cores > config.MaxCores {
+		return fmt.Errorf("cores must be a power of two in [1,%d], got %d", config.MaxCores, s.Cores)
 	}
 	if s.Seed == 0 {
 		s.Seed = 1

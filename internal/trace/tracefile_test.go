@@ -260,3 +260,30 @@ func TestOpenMappedTrace(t *testing.T) {
 		t.Fatal("missing file accepted")
 	}
 }
+
+// TestMappedReplayAllocFree pins the zero-copy replay claim: Next decodes
+// records in place with no heap allocation, including when it wraps around
+// the end of the trace. The 5000 calls are one AllocsPerRun run so no
+// rare-path allocation averages away.
+func TestMappedReplayAllocFree(t *testing.T) {
+	var buf bytes.Buffer
+	if err := WriteTrace(&buf, NewUniform(0, 4096, 0.25, 4, 11), 1024); err != nil {
+		t.Fatal(err)
+	}
+	mt, err := ParseTrace(buf.Bytes())
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep, err := mt.Replay()
+	if err != nil {
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(1, func() {
+		for i := 0; i < 5000; i++ {
+			rep.Next()
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("%v heap allocations over 5000 replay Next calls, want 0", allocs)
+	}
+}
