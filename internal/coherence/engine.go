@@ -14,6 +14,8 @@ import (
 	"secdir/internal/config"
 	"secdir/internal/core"
 	"secdir/internal/directory"
+	"secdir/internal/metrics"
+	"secdir/internal/stats"
 )
 
 // l2Line is the per-line private cache state. MOESI is encoded as
@@ -82,16 +84,59 @@ type CoreStats struct {
 	// SelfConflictInvalidations counts lines lost to this core's own VD
 	// conflicts (transition ⑤) — safe under the threat model.
 	SelfConflictInvalidations uint64
+	// GetX counts the L2 misses that were writes (GetX requests); the other
+	// L2 misses were reads (GetS).
+	GetX uint64
+	// L2Evictions counts lines leaving this core's L2 with a directory
+	// notification: fill victims and the lines FlushCore drops.
+	L2Evictions uint64
 }
 
 // Stats aggregates engine-wide counters.
 type Stats struct {
 	Core          []CoreStats
 	MemWritebacks uint64
+	// Invalidations counts private-cache invalidations by directory.Reason.
+	Invalidations [directory.ReasonVDConflict + 1]uint64
+	// Latency is the distribution of the latency charged per access, by the
+	// level that satisfied it.
+	Latency [LevelMemory + 1]stats.Histogram
 }
 
 // L2Misses returns the total L2 misses of a core.
 func (c CoreStats) L2Misses() uint64 { return c.MissEDTD + c.MissVD + c.MissMem }
+
+// Add accumulates o into c.
+func (c *CoreStats) Add(o CoreStats) {
+	c.Accesses += o.Accesses
+	c.L1Hits += o.L1Hits
+	c.L2Hits += o.L2Hits
+	c.MissEDTD += o.MissEDTD
+	c.MissVD += o.MissVD
+	c.MissMem += o.MissMem
+	c.Upgrades += o.Upgrades
+	c.NoFills += o.NoFills
+	c.ConflictInvalidations += o.ConflictInvalidations
+	c.SelfConflictInvalidations += o.SelfConflictInvalidations
+	c.GetX += o.GetX
+	c.L2Evictions += o.L2Evictions
+}
+
+// Sub subtracts o from c: the activity between two snapshots.
+func (c *CoreStats) Sub(o CoreStats) {
+	c.Accesses -= o.Accesses
+	c.L1Hits -= o.L1Hits
+	c.L2Hits -= o.L2Hits
+	c.MissEDTD -= o.MissEDTD
+	c.MissVD -= o.MissVD
+	c.MissMem -= o.MissMem
+	c.Upgrades -= o.Upgrades
+	c.NoFills -= o.NoFills
+	c.ConflictInvalidations -= o.ConflictInvalidations
+	c.SelfConflictInvalidations -= o.SelfConflictInvalidations
+	c.GetX -= o.GetX
+	c.L2Evictions -= o.L2Evictions
+}
 
 // Engine is the multicore coherence simulator.
 type Engine struct {
@@ -113,8 +158,8 @@ type Engine struct {
 	housekeepers []directory.Housekeeper
 
 	stats Stats
-	log   *eventLog
-	mx    *engineMetrics
+	// reg receives the engine's totals on PublishMetrics (nil: no metrics).
+	reg *metrics.Registry
 
 	// flushScratch is FlushCore's reusable line buffer, sized to the largest
 	// L2 occupancy flushed so far.
@@ -246,8 +291,8 @@ func (e *Engine) installSlice(s int, sl directory.Slice) {
 // produce, reusing the private-cache and directory storage. The SecDir and
 // Baseline kinds — the ones every leakage sweep hammers — reset their slices
 // in place; the rival kinds rebuild their (much smaller) slice objects but
-// still keep the per-core cache arrays. Attached metrics and event logs stay
-// attached with their counters untouched.
+// still keep the per-core cache arrays. Every counter is zeroed; an attached
+// registry stays attached.
 func (e *Engine) Reset(seed int64) error {
 	e.cfg = e.cfg.WithSeed(seed)
 	for c := 0; c < e.cfg.Cores; c++ {
@@ -271,10 +316,9 @@ func (e *Engine) Reset(seed int64) error {
 		}
 		e.installSlice(s, sl)
 	}
-	for c := range e.stats.Core {
-		e.stats.Core[c] = CoreStats{}
-	}
-	e.stats.MemWritebacks = 0
+	core := e.stats.Core
+	clear(core)
+	e.stats = Stats{Core: core}
 	return nil
 }
 
@@ -388,10 +432,7 @@ func (e *Engine) Access(c int, line addr.Line, write bool) AccessResult {
 			l, _ := e.writeHit(c, line, ls)
 			lat += l
 		}
-		if e.log != nil {
-			e.emit(Event{Kind: OpAccess, Core: c, Line: line, Level: LevelL1, Write: write})
-		}
-		e.recordAccess(LevelL1, lat)
+		e.stats.Latency[LevelL1].Add(uint64(lat))
 		return AccessResult{Level: LevelL1, Latency: lat}
 	}
 
@@ -409,24 +450,17 @@ func (e *Engine) Access(c int, line addr.Line, write bool) AccessResult {
 		if !lost {
 			e.l1[c].PutAt(l1cur, line, struct{}{})
 		}
-		if e.log != nil {
-			e.emit(Event{Kind: OpAccess, Core: c, Line: line, Level: LevelL2, Write: write})
-		}
-		e.recordAccess(LevelL2, lat)
+		e.stats.Latency[LevelL2].Add(uint64(lat))
 		return AccessResult{Level: LevelL2, Latency: lat}
 	}
 
 	// L2 miss: consult the line's home directory slice.
-	if mx := e.mx; mx != nil {
-		if write {
-			mx.msgGetX.Inc()
-		} else {
-			mx.msgGetS.Inc()
-		}
+	if write {
+		st.GetX++
 	}
 	slice := e.mapper.Slice(line)
 	res := e.sliceMiss(slice, c, line, write)
-	e.apply(c, res.Actions)
+	e.apply(res.Actions)
 
 	lat := e.cfg.Lat.L2RT + e.dirLatency(c, slice)
 	if res.VDConsulted {
@@ -474,9 +508,6 @@ func (e *Engine) Access(c int, line addr.Line, write bool) AccessResult {
 				if e.cfg.Protocol == config.MESI && fs.Dirty {
 					fs.Dirty = false
 					e.stats.MemWritebacks++
-					if e.mx != nil {
-						e.mx.writebacks.Inc()
-					}
 				}
 			}
 		}
@@ -488,16 +519,10 @@ func (e *Engine) Access(c int, line addr.Line, write bool) AccessResult {
 		lat /= mlp
 	}
 
-	if e.log != nil {
-		e.emit(Event{Kind: OpAccess, Core: c, Line: line, Level: level, Write: write})
-	}
-	e.recordAccess(level, lat)
+	e.stats.Latency[level].Add(uint64(lat))
 	if res.NoFill {
 		st.NoFills++
-		if e.mx != nil {
-			e.mx.noFills.Inc()
-		}
-		e.housekeep(c, slice)
+		e.housekeep(slice)
 		return AccessResult{Level: level, Latency: lat, NoFill: true}
 	}
 	// The victim's eviction cascade can conflict-invalidate the very line
@@ -506,7 +531,7 @@ func (e *Engine) Access(c int, line addr.Line, write bool) AccessResult {
 	if e.fillL2At(c, l2cur, line, l2Line{Dirty: write, Excl: write || res.Exclusive}) {
 		e.l1[c].PutAt(l1cur, line, struct{}{})
 	}
-	e.housekeep(c, slice)
+	e.housekeep(slice)
 	return AccessResult{Level: level, Latency: lat}
 }
 
@@ -514,9 +539,9 @@ func (e *Engine) Access(c int, line addr.Line, write bool) AccessResult {
 // transaction boundary, where every cached line has a settled directory
 // entry. The Housekeeper assertion is resolved once at construction, so the
 // common kinds pay one nil check here.
-func (e *Engine) housekeep(c, slice int) {
+func (e *Engine) housekeep(slice int) {
 	if hk := e.housekeepers[slice]; hk != nil {
-		e.apply(c, hk.Housekeep())
+		e.apply(hk.Housekeep())
 	}
 }
 
@@ -549,12 +574,9 @@ func (e *Engine) writeHit(c int, line addr.Line, ls *l2Line) (int, bool) {
 	}
 	gen := e.l2[c].Gen()
 	acts := e.sliceUpgrade(slice, c, line)
-	e.apply(c, acts)
-	e.housekeep(c, slice)
+	e.apply(acts)
+	e.housekeep(slice)
 	e.stats.Core[c].Upgrades++
-	if e.mx != nil {
-		e.mx.msgUpgrade.Inc()
-	}
 	// Housekeeping may have invalidated the writer's copy (and with it the
 	// pointer captured above); the probe pointer stays valid as long as
 	// nothing in the L2 moved, which the unchanged generation certifies.
@@ -609,15 +631,10 @@ func (e *Engine) fillL2At(c int, cur cachesim.Cursor, line addr.Line, state l2Li
 	gen := e.l2[c].Gen()
 	// Back-invalidate L1 to preserve the subset property.
 	e.l1[c].Remove(v.Line)
-	if e.log != nil {
-		e.emit(Event{Kind: OpL2Evict, Core: c, Line: v.Line})
-	}
-	if e.mx != nil {
-		e.mx.msgEvict.Inc()
-	}
+	e.stats.Core[c].L2Evictions++
 	vslice := e.mapper.Slice(v.Line)
 	acts := e.sliceL2Evict(vslice, c, v.Line, v.Data.Dirty)
-	e.apply(c, acts)
+	e.apply(acts)
 	if e.l2[c].Gen() == gen {
 		return true
 	}
@@ -625,9 +642,8 @@ func (e *Engine) fillL2At(c int, cur cachesim.Cursor, line addr.Line, state l2Li
 	return ok
 }
 
-// apply executes the side effects of a directory transition. requester is
-// the core whose access triggered the transition (used only for accounting).
-func (e *Engine) apply(requester int, acts []directory.Action) {
+// apply executes the side effects of a directory transition.
+func (e *Engine) apply(acts []directory.Action) {
 	for _, a := range acts {
 		switch a.Kind {
 		case directory.InvalidateL2:
@@ -636,12 +652,7 @@ func (e *Engine) apply(requester int, acts []directory.Action) {
 			if !ok {
 				panic(fmt.Sprintf("coherence: invalidate of uncached line %#x on core %d (%v)", uint64(a.Line), a.Core, a.Reason))
 			}
-			if e.log != nil {
-				e.emit(Event{Kind: OpInvalidate, Core: a.Core, Line: a.Line, Reason: a.Reason})
-			}
-			if e.mx != nil {
-				e.mx.invalidate[a.Reason].Inc()
-			}
+			e.stats.Invalidations[a.Reason]++
 			switch a.Reason {
 			case directory.ReasonCoherence:
 				// The requester takes ownership of the data: no write-back.
@@ -649,27 +660,15 @@ func (e *Engine) apply(requester int, acts []directory.Action) {
 				e.stats.Core[a.Core].SelfConflictInvalidations++
 				if ls.Dirty {
 					e.stats.MemWritebacks++
-					if e.mx != nil {
-						e.mx.writebacks.Inc()
-					}
 				}
 			default: // TD or unfixed-ED conflicts: inclusion victims.
 				e.stats.Core[a.Core].ConflictInvalidations++
 				if ls.Dirty {
 					e.stats.MemWritebacks++
-					if e.mx != nil {
-						e.mx.writebacks.Inc()
-					}
 				}
 			}
 		case directory.WritebackMem:
 			e.stats.MemWritebacks++
-			if e.mx != nil {
-				e.mx.writebacks.Inc()
-			}
-			if e.log != nil {
-				e.emit(Event{Kind: OpWriteback, Core: requester, Line: a.Line})
-			}
 		}
 	}
 }
@@ -704,10 +703,8 @@ func (e *Engine) FlushCore(c int) {
 			continue
 		}
 		e.l1[c].Remove(l)
-		if e.mx != nil {
-			e.mx.msgEvict.Inc()
-		}
+		e.stats.Core[c].L2Evictions++
 		acts := e.sliceL2Evict(e.mapper.Slice(l), c, l, st.Dirty)
-		e.apply(c, acts)
+		e.apply(acts)
 	}
 }

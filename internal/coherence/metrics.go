@@ -3,91 +3,81 @@ package coherence
 import (
 	"fmt"
 
-	"secdir/internal/core"
+	"secdir/internal/config"
 	"secdir/internal/directory"
 	"secdir/internal/metrics"
+	"secdir/internal/stats"
 )
 
-// engineMetrics holds the engine's pre-registered metric handles. A nil
-// *engineMetrics (no registry attached) keeps the hot path at a single
-// branch per access; every handle is itself nil-safe.
-type engineMetrics struct {
-	reg *metrics.Registry
-
-	// Per-service-level access counts and latency histograms, indexed by
-	// Level (directory hit/miss latencies included).
-	access  [int(LevelMemory) + 1]*metrics.Counter
-	latency [int(LevelMemory) + 1]*metrics.Histogram
-
-	// Per-message-class counts: GetS/GetX on a private miss, upgrades, and
-	// L2 victim write-backs into the directory.
-	msgGetS    *metrics.Counter
-	msgGetX    *metrics.Counter
-	msgUpgrade *metrics.Counter
-	msgEvict   *metrics.Counter
-
-	// Invalidations by directory.Reason, memory write-backs, suppressed
-	// fills.
-	invalidate [int(directory.ReasonVDConflict) + 1]*metrics.Counter
-	writebacks *metrics.Counter
-	noFills    *metrics.Counter
-}
-
-// AttachMetrics registers the engine's instruments in the registry and
-// attaches the directory slices' own instruments (SecDir slices add the VD
-// relocation-depth histogram and Empty-Bit counters). Occupancy is exported
-// as gauge functions evaluated at snapshot time, so the hot path never pays
-// for it. Attaching a nil registry detaches metrics.
-func (e *Engine) AttachMetrics(r *metrics.Registry) {
-	if r == nil {
-		e.mx = nil
-		return
-	}
-	mx := &engineMetrics{reg: r}
-	for lv := LevelL1; lv <= LevelMemory; lv++ {
-		mx.access[lv] = r.Counter(fmt.Sprintf("engine/access/%v", lv))
-		mx.latency[lv] = r.Histogram(fmt.Sprintf("engine/latency/%v", lv))
-	}
-	mx.msgGetS = r.Counter("engine/msg/gets")
-	mx.msgGetX = r.Counter("engine/msg/getx")
-	mx.msgUpgrade = r.Counter("engine/msg/upgrade")
-	mx.msgEvict = r.Counter("engine/msg/evict")
-	for reason := directory.ReasonCoherence; reason <= directory.ReasonVDConflict; reason++ {
-		mx.invalidate[reason] = r.Counter(fmt.Sprintf("engine/invalidate/%v", reason))
-	}
-	mx.writebacks = r.Counter("engine/mem_writebacks")
-	mx.noFills = r.Counter("engine/no_fills")
-	e.mx = mx
-
-	// Directory occupancy: TD/ED/VD entry counts and fill fractions.
-	r.GaugeFunc("dir/ed_entries", func() float64 { return float64(e.OccupancySnapshot().EDEntries) })
-	r.GaugeFunc("dir/ed_fill", func() float64 { return e.OccupancySnapshot().EDFill() })
-	r.GaugeFunc("dir/td_entries", func() float64 { return float64(e.OccupancySnapshot().TDEntries) })
-	r.GaugeFunc("dir/td_fill", func() float64 { return e.OccupancySnapshot().TDFill() })
-	r.GaugeFunc("dir/vd_entries", func() float64 { return float64(e.OccupancySnapshot().VDEntries) })
-	r.GaugeFunc("dir/vd_fill", func() float64 { return e.OccupancySnapshot().VDFill() })
-
-	for _, sl := range e.slices {
-		if s, ok := sl.(*core.Slice); ok {
-			s.AttachMetrics(r)
-		}
-	}
-}
+// AttachMetrics sets the registry PublishMetrics writes to and layers beside
+// the engine (the attack toolkit) record into. Nothing is recorded per
+// access: the engine counts in its plain Stats and the slices' directory
+// stats either way. Attaching a nil registry detaches metrics.
+func (e *Engine) AttachMetrics(r *metrics.Registry) { e.reg = r }
 
 // Metrics returns the attached registry, or nil when metrics are disabled.
-// Layers above and beside the engine (the attack toolkit, the simulator)
-// register their own instruments through it.
-func (e *Engine) Metrics() *metrics.Registry {
-	if e.mx == nil {
-		return nil
-	}
-	return e.mx.reg
-}
+func (e *Engine) Metrics() *metrics.Registry { return e.reg }
 
-// recordAccess notes one completed access at its service level.
-func (e *Engine) recordAccess(level Level, lat int) {
-	if mx := e.mx; mx != nil {
-		mx.access[level].Inc()
-		mx.latency[level].Observe(uint64(lat))
+// PublishMetrics adds the engine's counts since construction or the last
+// Reset to the attached registry, and sets the directory occupancy gauges to
+// the current fill. Every name is created even when its count is zero. It is
+// a no-op without a registry. Call it once per run, with the engine
+// quiescent: publishing again adds the same counts again.
+//
+// Names: engine/access/<level> and engine/latency/<level>,
+// engine/msg/{gets,getx,upgrade,evict}, engine/invalidate/<reason>,
+// engine/mem_writebacks, engine/no_fills, and the dir/{ed,td,vd}_{entries,fill}
+// gauges; SecDir engines add dir/td_to_vd, dir/vd_drop, vd/lookups,
+// vd/eb_filtered, vd/eb_churn and the vd/reloc_depth histogram.
+func (e *Engine) PublishMetrics() {
+	r := e.reg
+	if r == nil {
+		return
 	}
+	var tot CoreStats
+	for _, c := range e.stats.Core {
+		tot.Add(c)
+	}
+	access := [...]uint64{LevelL1: tot.L1Hits, LevelL2: tot.L2Hits, LevelEDTD: tot.MissEDTD, LevelVD: tot.MissVD, LevelMemory: tot.MissMem}
+	for lv, n := range access {
+		r.Counter(fmt.Sprintf("engine/access/%v", Level(lv))).Add(n)
+		r.Histogram(fmt.Sprintf("engine/latency/%v", Level(lv))).Merge(&e.stats.Latency[lv])
+	}
+	r.Counter("engine/msg/gets").Add(tot.L2Misses() - tot.GetX)
+	r.Counter("engine/msg/getx").Add(tot.GetX)
+	r.Counter("engine/msg/upgrade").Add(tot.Upgrades)
+	r.Counter("engine/msg/evict").Add(tot.L2Evictions)
+	for reason, n := range e.stats.Invalidations {
+		r.Counter(fmt.Sprintf("engine/invalidate/%v", directory.Reason(reason))).Add(n)
+	}
+	r.Counter("engine/mem_writebacks").Add(e.stats.MemWritebacks)
+	r.Counter("engine/no_fills").Add(tot.NoFills)
+
+	o := e.OccupancySnapshot()
+	r.Gauge("dir/ed_entries").Set(float64(o.EDEntries))
+	r.Gauge("dir/ed_fill").Set(o.EDFill())
+	r.Gauge("dir/td_entries").Set(float64(o.TDEntries))
+	r.Gauge("dir/td_fill").Set(o.TDFill())
+	r.Gauge("dir/vd_entries").Set(float64(o.VDEntries))
+	r.Gauge("dir/vd_fill").Set(o.VDFill())
+
+	if e.cfg.Kind != config.SecDir {
+		return
+	}
+	d := e.DirStats()
+	r.Counter("dir/td_to_vd").Add(d.TDToVD)
+	r.Counter("dir/vd_drop").Add(d.VDDrop)
+	r.Counter("vd/lookups").Add(d.VDLookups)
+	r.Counter("vd/eb_filtered").Add(d.VDLookupsNoEB - d.VDLookups)
+	var depth stats.Histogram
+	var churn uint64
+	for _, s := range e.secSlices {
+		for c := 0; c < e.cfg.Cores; c++ {
+			b := s.VDBank(c)
+			depth.Merge(&b.RelocDepth)
+			churn += b.EBChurn
+		}
+	}
+	r.Histogram("vd/reloc_depth").Merge(&depth)
+	r.Counter("vd/eb_churn").Add(churn)
 }

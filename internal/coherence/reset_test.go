@@ -7,6 +7,7 @@ import (
 
 	"secdir/internal/addr"
 	"secdir/internal/config"
+	"secdir/internal/metrics"
 )
 
 // TestResetBitIdentical pins Engine.Reset to the NewEngine oracle for every
@@ -24,6 +25,7 @@ func TestResetBitIdentical(t *testing.T) {
 			want := replayBursts(fresh, bursts)
 			wantStats := snapshotStats(fresh)
 			wantDir := fresh.DirStats()
+			wantPub := published(fresh)
 			lines := touchedLines(bursts)
 			wantImg := memoryImage(t, fresh, lines)
 
@@ -46,6 +48,11 @@ func TestResetBitIdentical(t *testing.T) {
 			}
 			if gotDir := reused.DirStats(); gotDir != wantDir {
 				t.Fatalf("directory stats diverged:\nfresh %+v\nreset %+v", wantDir, gotDir)
+			}
+			// Everything PublishMetrics reads, the VD banks' counters
+			// included, must restart from zero too.
+			if got := published(reused); !reflect.DeepEqual(got, wantPub) {
+				t.Fatalf("published metrics diverged:\nfresh %+v\nreset %+v", wantPub, got)
 			}
 			if img := memoryImage(t, reused, lines); !reflect.DeepEqual(img, wantImg) {
 				t.Fatal("memory image diverged from fresh engine")
@@ -115,6 +122,15 @@ func snapshotStats(e *Engine) Stats {
 	st := e.stats
 	st.Core = append([]CoreStats(nil), e.stats.Core...)
 	return st
+}
+
+// published returns the snapshot of a registry the engine published into.
+func published(e *Engine) metrics.Snapshot {
+	r := metrics.New()
+	e.AttachMetrics(r)
+	e.PublishMetrics()
+	e.AttachMetrics(nil)
+	return r.Snapshot()
 }
 
 // replayBursts drives the stream through an engine, flushing a rotating core

@@ -14,7 +14,6 @@ import (
 	"secdir/internal/cachesim"
 	"secdir/internal/cuckoo"
 	"secdir/internal/directory"
-	"secdir/internal/metrics"
 )
 
 // Slice is one SecDir directory slice: a TD, a narrower ED, and one VD bank
@@ -35,14 +34,6 @@ type Slice struct {
 
 	// searchBatch limits the banks searched per round (0 = all).
 	searchBatch int
-
-	// Metric handles (nil when no registry is attached; recording is then a
-	// branch per event). Shared across slices by name, so they aggregate
-	// machine-wide.
-	mxEBFiltered *metrics.Counter
-	mxVDProbes   *metrics.Counter
-	mxTDToVD     *metrics.Counter
-	mxVDDrop     *metrics.Counter
 }
 
 // Verify interface conformance.
@@ -92,30 +83,10 @@ func New(p Params) *Slice {
 	return s
 }
 
-// AttachMetrics registers this slice's instruments in the registry. Handles
-// are looked up by name, so every slice of a machine shares one series:
-// "vd/reloc_depth" (cuckoo relocation-chain depth per VD insertion),
-// "vd/eb_churn" (Empty-Bit set transitions), "vd/eb_filtered" /
-// "vd/lookups" (bank probes skipped by / surviving the EB filter), and the
-// "dir/td_to_vd" / "dir/vd_drop" migration counters. A nil registry detaches
-// nothing and costs nothing.
-func (s *Slice) AttachMetrics(r *metrics.Registry) {
-	s.mxEBFiltered = r.Counter("vd/eb_filtered")
-	s.mxVDProbes = r.Counter("vd/lookups")
-	s.mxTDToVD = r.Counter("dir/td_to_vd")
-	s.mxVDDrop = r.Counter("dir/vd_drop")
-	depth := r.Histogram("vd/reloc_depth")
-	churn := r.Counter("vd/eb_churn")
-	for _, b := range s.vd {
-		b.DepthHist = depth
-		b.EBChurn = churn
-	}
-}
-
 // Reset restores the slice to the state New would produce with the given
 // seed, reusing the TD/ED and VD-bank storage: the shared structures are
 // emptied and every cuckoo bank reseeded exactly as construction seeds them
-// (seed + bank*7919). Attached metric handles are preserved.
+// (seed + bank*7919).
 func (s *Slice) Reset(seed int64) {
 	s.d.Reset(seed)
 	for c, b := range s.vd {
@@ -142,7 +113,6 @@ func (s *Slice) tdVictim(line addr.Line, m directory.Meta) {
 	// This is local to the directory: no coherence transactions, no L2 state
 	// changes, and the sharers keep their lines.
 	s.d.Stat.TDToVD++
-	s.mxTDToVD.Inc()
 	m.Sharers.ForEach(func(c int) {
 		s.insertVD(c, line)
 	})
@@ -160,7 +130,6 @@ func (s *Slice) insertVD(core int, line addr.Line) {
 		return
 	}
 	s.d.Stat.VDDrop++
-	s.mxVDDrop.Inc()
 	s.d.Buf.Emit(directory.Action{
 		Kind: directory.InvalidateL2, Core: core, Line: victim, Reason: directory.ReasonVDConflict,
 	})
@@ -191,11 +160,9 @@ func (s *Slice) vdSearch(line addr.Line, stopAtFirst bool) (directory.Bitset, in
 		for c := start; c < end; c++ {
 			s.d.Stat.VDLookupsNoEB++
 			if s.emptyBit && s.vd[c].EmptyBitHitAt(s0, s1) {
-				s.mxEBFiltered.Inc()
 				continue
 			}
 			s.d.Stat.VDLookups++
-			s.mxVDProbes.Inc()
 			if s.vd[c].ContainsAt(line, s0, s1) {
 				sh = sh.Set(c)
 			}
@@ -319,7 +286,6 @@ func (s *Slice) allocRequester(core int, line addr.Line, res *directory.MissResu
 		return
 	}
 	s.d.Stat.VDDrop++
-	s.mxVDDrop.Inc()
 	if victim == line {
 		res.NoFill = true
 		return

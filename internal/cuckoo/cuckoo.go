@@ -13,8 +13,8 @@ package cuckoo
 import (
 	"secdir/internal/addr"
 	"secdir/internal/hashfn"
-	"secdir/internal/metrics"
 	"secdir/internal/rng"
+	"secdir/internal/stats"
 )
 
 // entry is one slot of a bank. A VD entry holds only an address tag, a Valid
@@ -57,13 +57,12 @@ type Table struct {
 	// Relocated counts individual relocation steps performed.
 	Relocated uint64
 
-	// DepthHist, when attached, observes the relocation-chain depth of every
-	// insertion (0 for a first-try placement). Nil adds only a branch to the
-	// insert path.
-	DepthHist *metrics.Histogram
-	// EBChurn, when attached, counts Empty-Bit transitions: a set going
-	// empty→non-empty on insert or non-empty→empty on remove.
-	EBChurn *metrics.Counter
+	// RelocDepth is the relocation-chain depth of every insertion (0 for a
+	// first-try placement).
+	RelocDepth stats.Histogram
+	// EBChurn counts Empty-Bit transitions: a set going empty→non-empty on
+	// insert or non-empty→empty on remove.
+	EBChurn uint64
 }
 
 // Config parameterises a Table.
@@ -106,10 +105,9 @@ func New(cfg Config) *Table {
 
 // Reset restores the table to the state New would produce with the given
 // seed, reusing the entry, occupancy and stash storage: every entry and
-// Empty-Bit count zeroed, the conflict/relocation counters cleared, and the
-// relocation generator reseeded. The skew hash functions are seedless and
-// keep their construction-time tables; attached metric instruments
-// (DepthHist, EBChurn) stay attached.
+// Empty-Bit count zeroed, the counters cleared, and the relocation generator
+// reseeded. The skew hash functions are seedless and keep their
+// construction-time tables.
 func (t *Table) Reset(seed int64) {
 	clear(t.arr)
 	clear(t.occ)
@@ -118,6 +116,8 @@ func (t *Table) Reset(seed int64) {
 	t.rng = rng.New(seed)
 	t.Conflicts = 0
 	t.Relocated = 0
+	t.RelocDepth = stats.Histogram{}
+	t.EBChurn = 0
 }
 
 // Sets returns the number of sets.
@@ -137,23 +137,23 @@ func (t *Table) set(i int) []entry { return t.arr[i*t.ways : (i+1)*t.ways] }
 func (t *Table) setOf(fn int, l addr.Line) int { return t.skew.Hash(fn, uint64(l)) }
 
 // place writes e into way w of set s, maintaining the occupancy counts and
-// the EB-churn metric. The slot must be invalid.
+// EBChurn. The slot must be invalid.
 func (t *Table) place(set, w int, e entry) {
-	if t.occ[set] == 0 && t.EBChurn != nil {
-		t.EBChurn.Inc()
+	if t.occ[set] == 0 {
+		t.EBChurn++
 	}
 	t.occ[set]++
 	t.set(set)[w] = e
 	t.count++
 }
 
-// clear invalidates way w of set s, maintaining the occupancy counts and the
-// EB-churn metric. The slot must be valid.
+// clear invalidates way w of set s, maintaining the occupancy counts and
+// EBChurn. The slot must be valid.
 func (t *Table) clear(set, w int) {
 	t.set(set)[w] = entry{}
 	t.occ[set]--
-	if t.occ[set] == 0 && t.EBChurn != nil {
-		t.EBChurn.Inc()
+	if t.occ[set] == 0 {
+		t.EBChurn++
 	}
 	t.count--
 }
@@ -271,7 +271,7 @@ func (t *Table) Insert(l addr.Line) (victim addr.Line, evicted bool) {
 			if !s[i].valid {
 				cur.fn = uint8(fn)
 				t.place(set, i, cur)
-				t.DepthHist.Observe(0)
+				t.RelocDepth.Add(0)
 				return 0, false
 			}
 		}
@@ -283,7 +283,7 @@ func (t *Table) Insert(l addr.Line) (victim addr.Line, evicted bool) {
 		victim = s[vi].line
 		s[vi] = cur
 		t.Conflicts++
-		t.DepthHist.Observe(0)
+		t.RelocDepth.Add(0)
 		return victim, true
 	}
 	// Both candidate sets full: displace an entry and relocate it under its
@@ -312,7 +312,7 @@ func (t *Table) Insert(l addr.Line) (victim addr.Line, evicted bool) {
 		}
 		if placed {
 			t.Relocated += uint64(r)
-			t.DepthHist.Observe(uint64(r) + 1)
+			t.RelocDepth.Add(uint64(r) + 1)
 			return 0, false
 		}
 		if r == t.relocations {
@@ -322,7 +322,7 @@ func (t *Table) Insert(l addr.Line) (victim addr.Line, evicted bool) {
 			// generally not from the set the new entry hashed to, which
 			// obscures conflict patterns (Appendix B).
 			t.Relocated += uint64(r)
-			t.DepthHist.Observe(uint64(r) + 1)
+			t.RelocDepth.Add(uint64(r) + 1)
 			if t.stashCap > 0 && len(t.stash) < t.stashCap {
 				t.stash = append(t.stash, disp)
 				t.count++

@@ -294,6 +294,23 @@ func (s *Stats) Add(o Stats) {
 	s.VDLookupsNoEB += o.VDLookupsNoEB
 }
 
+// Sub subtracts other from s: the activity between two snapshots.
+func (s *Stats) Sub(o Stats) {
+	s.EDHits -= o.EDHits
+	s.TDHits -= o.TDHits
+	s.VDHits -= o.VDHits
+	s.MemFetches -= o.MemFetches
+	s.EDToTD -= o.EDToTD
+	s.TDToED -= o.TDToED
+	s.TDDrop -= o.TDDrop
+	s.TDToVD -= o.TDToVD
+	s.VDToTD -= o.VDToTD
+	s.VDDrop -= o.VDDrop
+	s.InclusionVictims -= o.InclusionVictims
+	s.VDLookups -= o.VDLookups
+	s.VDLookupsNoEB -= o.VDLookupsNoEB
+}
+
 // Housekeeper is implemented by slices that need periodic maintenance the
 // engine must run at transaction boundaries (e.g. the randomized design's
 // re-keying): mid-transition maintenance could invalidate the very line a

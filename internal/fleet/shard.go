@@ -80,7 +80,8 @@ type ShardRequest struct {
 	Workers int `json:"workers,omitempty"`
 }
 
-// Options builds the leakage Options the request describes, normalized.
+// Options builds the leakage Options the request describes, validated and
+// normalized.
 func (r ShardRequest) Options() (leakage.Options, error) {
 	cfg, err := leakage.ParseConfig(r.Config, r.Cores)
 	if err != nil {
@@ -90,7 +91,7 @@ func (r ShardRequest) Options() (leakage.Options, error) {
 	if err != nil {
 		return leakage.Options{}, err
 	}
-	return leakage.Options{
+	o := leakage.Options{
 		Config:        cfg,
 		ConfigName:    r.Config,
 		Strategy:      strat,
@@ -99,7 +100,11 @@ func (r ShardRequest) Options() (leakage.Options, error) {
 		EvictionLines: r.EvictionLines,
 		Workers:       r.Workers,
 		Seed:          r.Seed,
-	}.Normalized(), nil
+	}
+	if err := o.Validate(); err != nil {
+		return leakage.Options{}, err
+	}
+	return o.Normalized(), nil
 }
 
 // ShardLine is one NDJSON line of a shard response stream: a trial result,
@@ -205,6 +210,9 @@ func planCells(spec SweepSpec) ([]*cell, leakage.Options, error) {
 		// parameters; leak reports honor the caller's.
 		base.Confidence = spec.Confidence
 		base.Resamples = spec.Resamples
+	}
+	if err := base.Validate(); err != nil {
+		return nil, base, err
 	}
 	base = base.Normalized()
 

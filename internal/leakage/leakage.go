@@ -66,6 +66,34 @@ type Options struct {
 	Progress func(done, total int)
 }
 
+// Upper bounds on the Options fields that size allocations. They sit far
+// above any measurement the lab makes (the floodreload default eviction set
+// is 40 000 lines, the golden sweeps 200 trials of 128 rounds) and keep an
+// untrusted job spec or shard request from asking for more memory than the
+// host has.
+const (
+	MaxTrials        = 1 << 20
+	MaxRounds        = 1 << 16
+	MaxResamples     = 1 << 20
+	MaxEvictionLines = 1 << 20
+)
+
+// Validate checks o, with defaults applied, against the Max bounds.
+func (o Options) Validate() error {
+	o = o.withDefaults()
+	switch {
+	case o.Trials > MaxTrials:
+		return fmt.Errorf("leakage: trials %d exceeds the maximum %d", o.Trials, MaxTrials)
+	case o.Rounds > MaxRounds:
+		return fmt.Errorf("leakage: rounds %d exceeds the maximum %d", o.Rounds, MaxRounds)
+	case o.Resamples > MaxResamples:
+		return fmt.Errorf("leakage: resamples %d exceeds the maximum %d", o.Resamples, MaxResamples)
+	case o.EvictionLines < 0 || o.EvictionLines > MaxEvictionLines:
+		return fmt.Errorf("leakage: eviction lines %d outside [0,%d]", o.EvictionLines, MaxEvictionLines)
+	}
+	return nil
+}
+
 // withDefaults fills unset Options fields.
 func (o Options) withDefaults() Options {
 	if o.Trials <= 0 {

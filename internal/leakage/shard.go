@@ -75,6 +75,9 @@ func attackParams(o Options) attack.Params {
 // RunShard(ctx, o, 0, o.Trials, nil); any partition of that range merges
 // back losslessly through MergeVerdict.
 func RunShard(ctx context.Context, o Options, start, count int, emit func(TrialResult)) ([]TrialResult, error) {
+	if err := o.Validate(); err != nil {
+		return nil, err
+	}
 	o = o.withDefaults()
 	if o.Strategy == nil {
 		return nil, fmt.Errorf("leakage: Options.Strategy is nil")
@@ -161,6 +164,9 @@ func RunShard(ctx context.Context, o Options, start, count int, emit func(TrialR
 // out-of-range index is an error: a coordinator must never synthesize a
 // verdict from a lossy merge.
 func MergeVerdict(o Options, results []TrialResult) (Verdict, error) {
+	if err := o.Validate(); err != nil {
+		return Verdict{}, err
+	}
 	o = o.withDefaults()
 	if o.Strategy == nil {
 		return Verdict{}, fmt.Errorf("leakage: Options.Strategy is nil")

@@ -9,32 +9,30 @@
 //     unconditionally — `c.Inc()` on a nil counter is a single branch — and
 //     the hot paths never allocate or lock.
 //  2. Goroutine safety. Counters and gauges are lock-free atomics; histograms
-//     and series take a per-instrument mutex; the name→handle maps are
-//     sharded by name hash so concurrent get-or-create calls from many
-//     workers rarely contend. Any number of engines, experiment workers, and
-//     server jobs may mutate one registry while another goroutine snapshots
-//     it.
+//     and series take a per-instrument mutex; one RWMutex guards the
+//     name→handle maps. Any number of engines, experiment workers, and
+//     server jobs may publish into one registry while another goroutine
+//     snapshots it.
 //  3. Zero allocation on the hot path when enabled. Counter/Gauge/Histogram
 //     updates touch pre-registered fixed-size state; Series bounds its memory
 //     by decimating in place.
 //  4. Get-or-create naming. Registering the same name twice returns the same
-//     handle, so per-slice or per-bank instruments naturally aggregate into
-//     one machine-wide series.
+//     handle, so the totals of many runs naturally aggregate into one
+//     instrument.
 //
 // Concurrency contract: every method on Registry, Counter, Gauge, Histogram
 // and Series is safe for concurrent use. Snapshot() may be called at any
 // time; it reads each instrument atomically (per instrument — the snapshot
 // as a whole is not a single atomic cut across instruments, which is fine
-// for monotone counters). The one exception is GaugeFunc callbacks: the
-// registry serializes their registration, but it evaluates them at snapshot
-// time, so a callback that reads non-thread-safe simulator state (engine
-// occupancy) must only be snapshotted while that simulator is quiescent.
-// Long-lived servers should attach engines to short-lived child registries
-// and merge the final snapshots instead (see Snapshot.Merge).
+// for monotone counters). GaugeFunc callbacks are evaluated at snapshot time,
+// so each must be safe to call from the snapshotting goroutine.
+//
+// The simulator itself does not record through this package on its hot path:
+// the coherence engine counts in plain stats structs and publishes their
+// totals into a registry once per run (coherence.Engine.PublishMetrics).
 package metrics
 
 import (
-	"hash/maphash"
 	"math"
 	"sort"
 	"sync"
@@ -105,6 +103,15 @@ func (h *Histogram) Observe(v uint64) {
 	if h != nil {
 		h.mu.Lock()
 		h.h.Add(v)
+		h.mu.Unlock()
+	}
+}
+
+// Merge adds every observation of src. Safe on a nil histogram (no-op).
+func (h *Histogram) Merge(src *stats.Histogram) {
+	if h != nil {
+		h.mu.Lock()
+		h.h.Merge(src)
 		h.mu.Unlock()
 	}
 }
@@ -200,15 +207,15 @@ func (s *Series) Len() int {
 	return len(s.pts)
 }
 
-// numShards splits the registry's name→handle maps. Handles are pointers, so
-// once a caller holds one the shard is out of the picture; sharding only has
-// to keep get-or-create (and gauge-func registration) from serializing a
-// worker pool. 16 shards cover any realistic core count.
-const numShards = 16
-
-// shard is one partition of the registry's name→handle maps, guarded by its
-// own RWMutex.
-type shard struct {
+// Registry holds named metrics. The zero value is not usable; call New. A nil
+// *Registry is a valid "metrics disabled" registry: every accessor returns a
+// nil handle and Snapshot returns an empty snapshot. A non-nil Registry is
+// safe for concurrent use by any number of goroutines.
+//
+// One RWMutex guards the name→handle maps. Callers look a name up once per
+// run, job or shard and then record through the handle, which takes no
+// registry lock.
+type Registry struct {
 	mu       sync.RWMutex
 	counters map[string]*Counter
 	gauges   map[string]*Gauge
@@ -217,35 +224,32 @@ type shard struct {
 	series   map[string]*Series
 }
 
-// Registry holds named metrics. The zero value is not usable; call New. A nil
-// *Registry is a valid "metrics disabled" registry: every accessor returns a
-// nil handle and Snapshot returns an empty snapshot. A non-nil Registry is
-// safe for concurrent use by any number of goroutines.
-type Registry struct {
-	shards [numShards]shard
-}
-
-// shardSeed keys the name hash; process-global so every registry distributes
-// names identically.
-var shardSeed = maphash.MakeSeed()
-
 // New returns an empty registry.
 func New() *Registry {
-	r := &Registry{}
-	for i := range r.shards {
-		s := &r.shards[i]
-		s.counters = map[string]*Counter{}
-		s.gauges = map[string]*Gauge{}
-		s.gaugeFns = map[string]func() float64{}
-		s.hists = map[string]*Histogram{}
-		s.series = map[string]*Series{}
+	return &Registry{
+		counters: map[string]*Counter{},
+		gauges:   map[string]*Gauge{},
+		gaugeFns: map[string]func() float64{},
+		hists:    map[string]*Histogram{},
+		series:   map[string]*Series{},
 	}
-	return r
 }
 
-// shardFor picks the shard owning name.
-func (r *Registry) shardFor(name string) *shard {
-	return &r.shards[maphash.String(shardSeed, name)%numShards]
+// getOrCreate returns m[name], creating it with mk on first use.
+func getOrCreate[V any](r *Registry, m map[string]*V, name string, mk func() *V) *V {
+	r.mu.RLock()
+	v, ok := m[name]
+	r.mu.RUnlock()
+	if ok {
+		return v
+	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if v, ok = m[name]; !ok {
+		v = mk()
+		m[name] = v
+	}
+	return v
 }
 
 // Counter returns the named counter, creating it on first use. Returns nil on
@@ -254,20 +258,7 @@ func (r *Registry) Counter(name string) *Counter {
 	if r == nil {
 		return nil
 	}
-	sh := r.shardFor(name)
-	sh.mu.RLock()
-	c, ok := sh.counters[name]
-	sh.mu.RUnlock()
-	if ok {
-		return c
-	}
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	if c, ok = sh.counters[name]; !ok {
-		c = &Counter{}
-		sh.counters[name] = c
-	}
-	return c
+	return getOrCreate(r, r.counters, name, func() *Counter { return &Counter{} })
 }
 
 // Gauge returns the named gauge, creating it on first use. Returns nil on a
@@ -276,37 +267,22 @@ func (r *Registry) Gauge(name string) *Gauge {
 	if r == nil {
 		return nil
 	}
-	sh := r.shardFor(name)
-	sh.mu.RLock()
-	g, ok := sh.gauges[name]
-	sh.mu.RUnlock()
-	if ok {
-		return g
-	}
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	if g, ok = sh.gauges[name]; !ok {
-		g = &Gauge{}
-		sh.gauges[name] = g
-	}
-	return g
+	return getOrCreate(r, r.gauges, name, func() *Gauge { return &Gauge{} })
 }
 
 // GaugeFunc registers a callback evaluated at snapshot time — the right shape
-// for occupancy-style metrics whose current value is derivable from simulator
-// state at no hot-path cost. Re-registering a name replaces the callback
-// (the most recently attached engine wins). No-op on a nil registry.
+// for a value that is cheap to read on demand, such as a queue length.
+// Re-registering a name replaces the callback. No-op on a nil registry.
 //
-// The callback itself runs outside the registry's locks; see the package
-// comment for the quiescence requirement on non-thread-safe callbacks.
+// The callback itself runs outside the registry's lock, on the goroutine that
+// calls Snapshot, so it must be safe to call from there.
 func (r *Registry) GaugeFunc(name string, fn func() float64) {
 	if r == nil {
 		return
 	}
-	sh := r.shardFor(name)
-	sh.mu.Lock()
-	sh.gaugeFns[name] = fn
-	sh.mu.Unlock()
+	r.mu.Lock()
+	r.gaugeFns[name] = fn
+	r.mu.Unlock()
 }
 
 // Histogram returns the named histogram, creating it on first use. Returns
@@ -315,20 +291,7 @@ func (r *Registry) Histogram(name string) *Histogram {
 	if r == nil {
 		return nil
 	}
-	sh := r.shardFor(name)
-	sh.mu.RLock()
-	h, ok := sh.hists[name]
-	sh.mu.RUnlock()
-	if ok {
-		return h
-	}
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	if h, ok = sh.hists[name]; !ok {
-		h = &Histogram{}
-		sh.hists[name] = h
-	}
-	return h
+	return getOrCreate(r, r.hists, name, func() *Histogram { return &Histogram{} })
 }
 
 // Series returns the named series, creating it with the given retained-point
@@ -338,23 +301,10 @@ func (r *Registry) Series(name string, capacity int) *Series {
 	if r == nil {
 		return nil
 	}
-	sh := r.shardFor(name)
-	sh.mu.RLock()
-	s, ok := sh.series[name]
-	sh.mu.RUnlock()
-	if ok {
-		return s
+	if capacity < 2 {
+		capacity = defaultSeriesCap
 	}
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	if s, ok = sh.series[name]; !ok {
-		if capacity < 2 {
-			capacity = defaultSeriesCap
-		}
-		s = &Series{max: capacity, stride: 1}
-		sh.series[name] = s
-	}
-	return s
+	return getOrCreate(r, r.series, name, func() *Series { return &Series{max: capacity, stride: 1} })
 }
 
 // sortedKeys returns the map's keys in lexical order.

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"maps"
 	"math"
 
 	"secdir/internal/stats"
@@ -126,53 +127,24 @@ func (r *Registry) Snapshot() Snapshot {
 	if r == nil {
 		return s
 	}
-	// Collect handle references shard by shard under each shard's read lock,
-	// then read the instruments without holding any registry lock (every
-	// handle is individually thread-safe, and gauge funcs may be arbitrarily
-	// slow or themselves touch the registry).
+	// Collect handle references under the read lock, then read the
+	// instruments without holding it (every handle is individually
+	// thread-safe, and gauge funcs may be arbitrarily slow or themselves
+	// touch the registry).
 	type namedFn struct {
 		name string
 		fn   func() float64
 	}
-	var (
-		counters map[string]*Counter
-		gauges   map[string]*Gauge
-		fns      []namedFn
-		hists    map[string]*Histogram
-		series   map[string]*Series
-	)
-	for i := range r.shards {
-		sh := &r.shards[i]
-		sh.mu.RLock()
-		for n, c := range sh.counters {
-			if counters == nil {
-				counters = map[string]*Counter{}
-			}
-			counters[n] = c
-		}
-		for n, g := range sh.gauges {
-			if gauges == nil {
-				gauges = map[string]*Gauge{}
-			}
-			gauges[n] = g
-		}
-		for n, fn := range sh.gaugeFns {
-			fns = append(fns, namedFn{n, fn})
-		}
-		for n, h := range sh.hists {
-			if hists == nil {
-				hists = map[string]*Histogram{}
-			}
-			hists[n] = h
-		}
-		for n, sr := range sh.series {
-			if series == nil {
-				series = map[string]*Series{}
-			}
-			series[n] = sr
-		}
-		sh.mu.RUnlock()
+	r.mu.RLock()
+	counters := maps.Clone(r.counters)
+	gauges := maps.Clone(r.gauges)
+	fns := make([]namedFn, 0, len(r.gaugeFns))
+	for n, fn := range r.gaugeFns {
+		fns = append(fns, namedFn{n, fn})
 	}
+	hists := maps.Clone(r.hists)
+	series := maps.Clone(r.series)
+	r.mu.RUnlock()
 	if len(counters) > 0 {
 		s.Counters = make(map[string]uint64, len(counters))
 		for n, c := range counters {
@@ -254,8 +226,7 @@ func (s HistogramSnapshot) Add(other HistogramSnapshot) HistogramSnapshot {
 // Merge returns the union snapshot s + other: counters and histograms add,
 // gauges and series take other's value when present (last writer wins, like
 // the live instruments). Neither input is modified. Merge is how a server
-// folds completed per-job child registries into one cumulative view (see the
-// package comment on GaugeFunc for why engines attach to child registries).
+// folds completed per-job child registries into one cumulative view.
 func (s Snapshot) Merge(other Snapshot) Snapshot {
 	var d Snapshot
 	if len(s.Counters)+len(other.Counters) > 0 {

@@ -117,9 +117,9 @@ func (s *Server) handleShard(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 
-	// Engine instruments go to a private registry, folded into the
-	// cumulative snapshot once the shard's engines are quiescent — the same
-	// isolation runJob gives job engines.
+	// The shard's trial counters go to a private registry, folded into the
+	// cumulative snapshot when the shard ends — the same per-run fold runJob
+	// does for jobs.
 	shardReg := metrics.New()
 	opts.Metrics = shardReg
 	_, err = leakage.RunShard(r.Context(), opts, req.Start, req.Count, emit)

@@ -103,6 +103,34 @@ func TestShardEndpoint(t *testing.T) {
 	}
 }
 
+// TestOversizedRequestsRejected: trial, round and eviction-set sizes far beyond
+// any measurement are refused with a 400 on both endpoints that accept them,
+// before anything is allocated for them.
+func TestOversizedRequestsRejected(t *testing.T) {
+	s := newTestServer(t, quickConfig())
+	const huge = 1 << 40
+
+	body, _ := json.Marshal(fleet.ShardRequest{Config: "secdir", Strategy: "primeprobe", Cores: 8, Trials: huge, Rounds: 16, Count: 1})
+	resp, err := http.Post(s.ts.URL+"/fleet/shard", "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Errorf("oversized shard request HTTP %d, want 400", resp.StatusCode)
+	}
+
+	for _, spec := range []JobSpec{
+		{Kind: KindLeak, Trials: huge},
+		{Kind: KindLeak, Rounds: leakage.MaxRounds + 2},
+		{Kind: KindLeak, Resamples: leakage.MaxResamples + 1},
+		{Kind: KindLeaderboard, EvictionLines: leakage.MaxEvictionLines + 1},
+		{Kind: KindAttack, EvictionLines: huge},
+	} {
+		s.submit(t, spec, http.StatusBadRequest)
+	}
+}
+
 // TestFleetJobEndToEnd drives a fleet leak job through the public job API of
 // a coordinator server backed by two real worker servers, and demands the
 // result match the same job run locally — byte-for-byte at the JSON layer,

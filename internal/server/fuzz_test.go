@@ -8,11 +8,13 @@ import (
 	"testing"
 
 	"secdir/internal/config"
+	"secdir/internal/leakage"
 )
 
 // FuzzJobSpec drives arbitrary submit bodies through the handler's decode
 // and JobSpec.Normalize. Neither may panic, and an accepted spec must fit the
-// simulated machine and normalize again to itself. The seed corpus under
+// simulated machine, stay within the leakage bounds on every field its kind
+// sizes allocations with, and normalize again to itself. The seed corpus under
 // testdata/fuzz/FuzzJobSpec holds one spec per job kind.
 func FuzzJobSpec(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -22,6 +24,13 @@ func FuzzJobSpec(f *testing.F) {
 		}
 		if spec.Cores > config.MaxCores {
 			t.Fatalf("accepted %d cores, above MaxCores", spec.Cores)
+		}
+		sized := spec.Kind == KindAttack || spec.Kind == KindLeak || spec.Kind == KindLeaderboard
+		if sized && (spec.Rounds > leakage.MaxRounds || spec.EvictionLines > leakage.MaxEvictionLines) {
+			t.Fatalf("accepted rounds %d / eviction lines %d above the leakage bounds", spec.Rounds, spec.EvictionLines)
+		}
+		if spec.Kind != KindAttack && sized && (spec.Trials > leakage.MaxTrials || spec.Resamples > leakage.MaxResamples) {
+			t.Fatalf("accepted trials %d / resamples %d above the leakage bounds", spec.Trials, spec.Resamples)
 		}
 		again := spec
 		again.Experiments = slices.Clone(spec.Experiments)

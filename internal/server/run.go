@@ -59,9 +59,10 @@ type AttackReport struct {
 // RunAttackSuite mounts the full attack suite — evict+reload, prime+probe,
 // evict+time, AES key recovery — against one directory configuration,
 // checking ctx between stages (each stage is a bounded number of rounds, so
-// cancellation latency is one stage). Engines register their instruments in
-// reg (which may be nil); progress (which may be nil) is called after each of
-// the four stages with done counts offset..offset+3 of total.
+// cancellation latency is one stage). Each stage's engine publishes its
+// totals into reg (which may be nil) when the stage's attack returns;
+// progress (which may be nil) is called after each of the four stages with
+// done counts offset..offset+3 of total.
 func RunAttackSuite(ctx context.Context, cfg config.Config, reg *metrics.Registry, rounds, evictionLines int, progress ProgressFunc, offset, total int) (AttackReport, error) {
 	report := AttackReport{Rounds: rounds}
 	switch cfg.Kind {
@@ -82,15 +83,26 @@ func RunAttackSuite(ctx context.Context, cfg config.Config, reg *metrics.Registr
 		attackers = append(attackers, c)
 	}
 
-	if err := ctx.Err(); err != nil {
-		return report, err
+	// engine builds the fresh machine of one stage; each stage publishes its
+	// engine's totals into reg as soon as the attack returns.
+	engine := func() (*coherence.Engine, error) {
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
+		e, err := coherence.NewEngine(cfg)
+		if err != nil {
+			return nil, err
+		}
+		e.AttachMetrics(reg)
+		return e, nil
 	}
-	e, err := coherence.NewEngine(cfg)
+
+	e, err := engine()
 	if err != nil {
 		return report, err
 	}
-	e.AttachMetrics(reg)
 	er, err := attack.EvictReload(e, 0, attackers, target, rounds, evictionLines)
+	e.PublishMetrics()
 	if err != nil {
 		return report, err
 	}
@@ -98,47 +110,38 @@ func RunAttackSuite(ctx context.Context, cfg config.Config, reg *metrics.Registr
 	report.VictimEvictions = er.VictimEvictions
 	step(report.Design+"/evict+reload", 1)
 
-	if err := ctx.Err(); err != nil {
-		return report, err
-	}
-	e2, err := coherence.NewEngine(cfg)
+	e2, err := engine()
 	if err != nil {
 		return report, err
 	}
-	e2.AttachMetrics(reg)
 	pp, err := attack.PrimeProbe(e2, 0, attackers, target, rounds, evictionLines)
+	e2.PublishMetrics()
 	if err != nil {
 		return report, err
 	}
 	report.PrimeProbeSignal = pp.Signal()
 	step(report.Design+"/prime+probe", 2)
 
-	if err := ctx.Err(); err != nil {
-		return report, err
-	}
-	e3, err := coherence.NewEngine(cfg)
+	e3, err := engine()
 	if err != nil {
 		return report, err
 	}
-	e3.AttachMetrics(reg)
 	et, err := attack.EvictTime(e3, 0, attackers, target, rounds, evictionLines)
+	e3.PublishMetrics()
 	if err != nil {
 		return report, err
 	}
 	report.EvictTimeSignal = et.Signal()
 	step(report.Design+"/evict+time", 3)
 
-	if err := ctx.Err(); err != nil {
-		return report, err
-	}
-	e4, err := coherence.NewEngine(cfg)
+	e4, err := engine()
 	if err != nil {
 		return report, err
 	}
-	e4.AttachMetrics(reg)
 	key := [16]byte{0x2b, 0x7e, 0x15, 0x16, 0x28, 0xae, 0xd2, 0xa6,
 		0xab, 0xf7, 0x15, 0x88, 0x09, 0xcf, 0x4f, 0x3c}
 	kr, err := attack.RecoverAESKey(e4, 0, attackers, key, 48)
+	e4.PublishMetrics()
 	if err != nil {
 		return report, err
 	}

@@ -22,11 +22,11 @@ import (
 //
 // Metrics strategy: the server's own instruments (queue depth, job counts,
 // durations) live in the shared registry passed to New, which is
-// goroutine-safe. Each job's engines register in a private per-job child
-// registry instead, because engine gauge functions read non-thread-safe
-// engine state; when the job finishes the child's snapshot is folded into a
-// cumulative snapshot under the server's lock, and /metricz serves the merge
-// of the two (see the metrics package doc).
+// goroutine-safe. Each job publishes into a private per-job child registry
+// instead, so its per-core IPC series do not interleave with concurrent
+// jobs' samples; when the job finishes the child's snapshot is folded into a
+// cumulative snapshot under the server's lock, before the terminal state is
+// visible, and /metricz serves the merge of the two.
 type Server struct {
 	cfg config.ServerConfig
 	reg *metrics.Registry
@@ -206,10 +206,9 @@ func (s *Server) runJob(j *Job) {
 		defer cancel()
 	}
 
-	// Engines must not register in the shared registry: their gauge
-	// functions read live engine state, which is only safe to evaluate when
-	// the engine is quiescent. A private child registry keeps /metricz
-	// race-free while the job runs.
+	// A private child registry keeps the job's IPC series its own (series
+	// from concurrent jobs would interleave in a shared one) and is folded
+	// in whole once the job ends.
 	jobReg := metrics.New()
 	start := time.Now()
 	var result any
@@ -225,9 +224,9 @@ func (s *Server) runJob(j *Job) {
 	}
 	s.jobMillis.Observe(uint64(time.Since(start).Milliseconds()))
 
-	// The job's engines are quiescent now; fold their counters into the
-	// cumulative simulation snapshot before the terminal state is visible,
-	// so a client that sees the job finish also sees its counters.
+	// Fold the job's counters into the cumulative simulation snapshot before
+	// the terminal state is visible, so a client that sees the job finish
+	// also sees its counters.
 	snap := jobReg.Snapshot()
 	s.mu.Lock()
 	s.cum = s.cum.Merge(snap)

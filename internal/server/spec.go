@@ -153,6 +153,11 @@ func (s *JobSpec) Normalize() error {
 		if s.Rounds < 1 || s.EvictionLines < 1 {
 			return fmt.Errorf("rounds and eviction_lines must be >= 1, got %d/%d", s.Rounds, s.EvictionLines)
 		}
+		// The attack suite sizes its round loops and eviction sets like a
+		// leakage trial does, so the leakage bounds apply.
+		if err := (leakage.Options{Rounds: s.Rounds, EvictionLines: s.EvictionLines}).Validate(); err != nil {
+			return err
+		}
 	case KindReplay:
 		if s.Design == "" {
 			s.Design = "secdir"
@@ -200,6 +205,10 @@ func (s *JobSpec) Normalize() error {
 		}
 		if s.Resamples < 0 || s.PerfAccesses < 0 {
 			return fmt.Errorf("resamples and perf_accesses must be >= 0, got %d/%d", s.Resamples, s.PerfAccesses)
+		}
+		o := leakage.Options{Trials: s.Trials, Rounds: s.Rounds, Resamples: s.Resamples, EvictionLines: s.EvictionLines}
+		if err := o.Validate(); err != nil {
+			return err
 		}
 	default:
 		return fmt.Errorf("unknown job kind %q (want experiment, attack, replay, leak, or leaderboard)", s.Kind)

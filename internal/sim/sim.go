@@ -30,10 +30,11 @@ type Options struct {
 	MeasureAccesses uint64
 	// Observer, if non-nil, sees every measured access.
 	Observer Observer
-	// Metrics, if non-nil, is attached to the engine before the run and
-	// additionally receives a per-core IPC time series ("sim/ipc/core<N>",
-	// x = local cycle, y = cumulative measured IPC) sampled every
-	// IPCSampleEvery accesses during the measured phase.
+	// Metrics, if non-nil, is attached to the engine, which publishes its
+	// totals into it when the run returns (a Runner with Metrics is run
+	// once). It additionally receives a per-core IPC time series
+	// ("sim/ipc/core<N>", x = local cycle, y = cumulative measured IPC)
+	// sampled every IPCSampleEvery accesses during the measured phase.
 	Metrics *metrics.Registry
 	// IPCSampleEvery overrides the IPC sampling interval in accesses
 	// (default 1024). Ignored when Metrics is nil.
@@ -164,8 +165,10 @@ func (r *Runner) Run() Result {
 // mid-phase and returns ctx's error with a partial (unspecified) Result —
 // callers must discard the result when err != nil. This is the hook that lets
 // a job server's cancel endpoint and per-job timeouts actually stop
-// simulation work.
+// simulation work. The engine publishes its totals into Options.Metrics on
+// every return, cancelled runs included.
 func (r *Runner) RunContext(ctx context.Context) (Result, error) {
+	defer r.Engine.PublishMetrics()
 	cores := r.opts.Config.Cores
 	clocks := make([]uint64, cores)
 	instrs := make([]uint64, cores)
@@ -354,53 +357,20 @@ func (r *Runner) RunContext(ctx context.Context) (Result, error) {
 		PerCore:       make([]CoreResult, cores),
 		MemWritebacks: r.Engine.Stats().MemWritebacks - wbBase,
 	}
-	dirNow := r.Engine.DirStats()
-	res.Dir = dirNow
-	subStats(&res.Dir, dirBase)
+	res.Dir = r.Engine.DirStats()
+	res.Dir.Sub(dirBase)
 	res.VDSelfConflicts = vdSelfConflicts(r.Engine) - vdBase
 	for c := 0; c < cores; c++ {
 		cr := CoreResult{
 			Instructions: instrs[c] - instrBase[c],
 			Cycles:       clocks[c] - clockBase[c],
-			Stats:        subCore(r.Engine.Stats().Core[c], coreBase[c]),
+			Stats:        r.Engine.Stats().Core[c],
 		}
+		cr.Stats.Sub(coreBase[c])
 		res.PerCore[c] = cr
 		if cr.Cycles > res.MaxCycles {
 			res.MaxCycles = cr.Cycles
 		}
 	}
 	return res, nil
-}
-
-// subStats subtracts base from s field-wise.
-func subStats(s *directory.Stats, base directory.Stats) {
-	s.EDHits -= base.EDHits
-	s.TDHits -= base.TDHits
-	s.VDHits -= base.VDHits
-	s.MemFetches -= base.MemFetches
-	s.EDToTD -= base.EDToTD
-	s.TDToED -= base.TDToED
-	s.TDDrop -= base.TDDrop
-	s.TDToVD -= base.TDToVD
-	s.VDToTD -= base.VDToTD
-	s.VDDrop -= base.VDDrop
-	s.InclusionVictims -= base.InclusionVictims
-	s.VDLookups -= base.VDLookups
-	s.VDLookupsNoEB -= base.VDLookupsNoEB
-}
-
-// subCore subtracts base from s field-wise.
-func subCore(s, base coherence.CoreStats) coherence.CoreStats {
-	return coherence.CoreStats{
-		Accesses:                  s.Accesses - base.Accesses,
-		L1Hits:                    s.L1Hits - base.L1Hits,
-		L2Hits:                    s.L2Hits - base.L2Hits,
-		MissEDTD:                  s.MissEDTD - base.MissEDTD,
-		MissVD:                    s.MissVD - base.MissVD,
-		MissMem:                   s.MissMem - base.MissMem,
-		Upgrades:                  s.Upgrades - base.Upgrades,
-		NoFills:                   s.NoFills - base.NoFills,
-		ConflictInvalidations:     s.ConflictInvalidations - base.ConflictInvalidations,
-		SelfConflictInvalidations: s.SelfConflictInvalidations - base.SelfConflictInvalidations,
-	}
 }

@@ -87,6 +87,15 @@ func (h *Histogram) Add(v uint64) {
 	h.sum += v
 }
 
+// Merge adds every observation of o, bucket by bucket.
+func (h *Histogram) Merge(o *Histogram) {
+	for b, c := range o.buckets {
+		h.buckets[b] += c
+	}
+	h.total += o.total
+	h.sum += o.sum
+}
+
 // N returns the observation count.
 func (h *Histogram) N() uint64 { return h.total }
 

@@ -117,3 +117,19 @@ func TestRatio(t *testing.T) {
 		t.Errorf("Ratio(1,4) = %q", Ratio(1, 4))
 	}
 }
+
+func TestHistogramMerge(t *testing.T) {
+	var a, b, want Histogram
+	for _, v := range []uint64{0, 1, 5, 1 << 40} {
+		a.Add(v)
+		want.Add(v)
+	}
+	for _, v := range []uint64{5, 9, 1<<63 + 3} {
+		b.Add(v)
+		want.Add(v)
+	}
+	a.Merge(&b)
+	if a != want {
+		t.Fatalf("merge = %+v, want %+v", a, want)
+	}
+}
