@@ -11,7 +11,6 @@ import (
 
 	"secdir/internal/area"
 	"secdir/internal/attack"
-	"secdir/internal/cachesim"
 	"secdir/internal/coherence"
 	"secdir/internal/config"
 	"secdir/internal/experiments"
@@ -304,47 +303,6 @@ func BenchmarkAblationAppendixAFix(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationVDStash measures how a small per-bank overflow stash
-// (cuckoo-with-stash, a §10.3 future-work extension) cuts worst-case VD
-// self-conflicts.
-func BenchmarkAblationVDStash(b *testing.B) {
-	for _, stash := range []int{0, 2, 4, 8} {
-		stash := stash
-		b.Run("stash="+strconv.Itoa(stash), func(b *testing.B) {
-			var c float64
-			for i := 0; i < b.N; i++ {
-				c = attackVDConflicts(b, func(cfg *config.Config) { cfg.VDStash = stash })
-			}
-			b.ReportMetric(c, "vd-conflicts/100k")
-		})
-	}
-}
-
-// BenchmarkAblationSearchBatch measures the IPC cost of the §5.1 batched VD
-// search against the fully parallel design.
-func BenchmarkAblationSearchBatch(b *testing.B) {
-	for _, batch := range []int{0, 2, 4} {
-		batch := batch
-		b.Run("batch="+strconv.Itoa(batch), func(b *testing.B) {
-			var ipc float64
-			for i := 0; i < b.N; i++ {
-				cfg := config.SecDirConfig(8)
-				cfg.VDSearchBatch = batch
-				w, err := trace.NewParsecWorkload("freqmine", 8, 1)
-				if err != nil {
-					b.Fatal(err)
-				}
-				r, err := sim.New(sim.Options{Config: cfg, Work: w, WarmupAccesses: 20_000, MeasureAccesses: 40_000})
-				if err != nil {
-					b.Fatal(err)
-				}
-				ipc = r.Run().TotalIPC()
-			}
-			b.ReportMetric(ipc, "IPC")
-		})
-	}
-}
-
 // BenchmarkAblationMitigation measures the IPC cost of the §6 timing-channel
 // mitigations on a multithreaded workload.
 func BenchmarkAblationMitigation(b *testing.B) {
@@ -366,57 +324,6 @@ func BenchmarkAblationMitigation(b *testing.B) {
 				ipc = r.Run().TotalIPC()
 			}
 			b.ReportMetric(ipc, "IPC")
-		})
-	}
-}
-
-// BenchmarkAblationProtocol compares MOESI vs MESI memory write-back traffic
-// on a sharing-heavy workload.
-func BenchmarkAblationProtocol(b *testing.B) {
-	for _, p := range []config.Protocol{config.MOESI, config.MESI} {
-		p := p
-		b.Run(p.String(), func(b *testing.B) {
-			var wb float64
-			for i := 0; i < b.N; i++ {
-				cfg := config.SecDirConfig(8)
-				cfg.Protocol = p
-				w, err := trace.NewParsecWorkload("x264", 8, 1)
-				if err != nil {
-					b.Fatal(err)
-				}
-				r, err := sim.New(sim.Options{Config: cfg, Work: w, WarmupAccesses: 20_000, MeasureAccesses: 40_000})
-				if err != nil {
-					b.Fatal(err)
-				}
-				wb = float64(r.Run().MemWritebacks)
-			}
-			b.ReportMetric(wb, "mem-writebacks")
-		})
-	}
-}
-
-// BenchmarkAblationL2Policy compares private-cache replacement policies
-// under a Table 5 mix: the defense and miss-reduction shape must not depend
-// on the exact L2 policy, but absolute miss counts do.
-func BenchmarkAblationL2Policy(b *testing.B) {
-	for _, p := range []cachesim.Policy{cachesim.LRU, cachesim.SRRIP, cachesim.PLRU, cachesim.Random} {
-		p := p
-		b.Run(p.String(), func(b *testing.B) {
-			var misses float64
-			for i := 0; i < b.N; i++ {
-				cfg := config.SecDirConfig(8)
-				cfg.L2Policy = p
-				w, err := trace.NewSpecMix(2, 8, 1)
-				if err != nil {
-					b.Fatal(err)
-				}
-				r, err := sim.New(sim.Options{Config: cfg, Work: w, WarmupAccesses: 20_000, MeasureAccesses: 40_000})
-				if err != nil {
-					b.Fatal(err)
-				}
-				misses = float64(r.Run().L2Misses())
-			}
-			b.ReportMetric(misses, "L2-misses")
 		})
 	}
 }

@@ -1,8 +1,9 @@
 // Package area models directory storage and silicon area: exact bit counts
-// for the TD, ED and VD structures under the paper's §7 assumptions (MESI,
-// full-mapped presence vector, 40-bit physical addresses), the VD sizing
-// search behind Figure 5, the storage-crossover analysis of §7, the
-// Table 7 storage/area comparison, and the §2.3 required-associativity bound.
+// for the TD, ED and VD structures under the paper's §7 assumptions (a
+// four-state protocol with 2 state bits, full-mapped presence vector, 40-bit
+// physical addresses), the VD sizing search behind Figure 5, the
+// storage-crossover analysis of §7, the Table 7 storage/area comparison, and
+// the §2.3 required-associativity bound.
 //
 // Area is reported by a linear model (per-KB cost plus a per-bank overhead)
 // fitted to the four CACTI-7 22 nm datapoints of Table 7; storage in KB is

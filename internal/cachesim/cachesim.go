@@ -18,13 +18,6 @@ const (
 	// Random evicts a uniformly random way (the paper uses random
 	// replacement in ED and VD, §7).
 	Random
-	// SRRIP is static re-reference interval prediction (Jaleel et al.,
-	// 2-bit RRPV): hits predict near re-reference, fills predict long,
-	// victims are distant lines. Scan-resistant, close to what commercial
-	// LLCs implement.
-	SRRIP
-	// PLRU is the classic tree pseudo-LRU (requires power-of-two ways).
-	PLRU
 )
 
 // String implements fmt.Stringer.
@@ -34,17 +27,10 @@ func (p Policy) String() string {
 		return "lru"
 	case Random:
 		return "random"
-	case SRRIP:
-		return "srrip"
-	case PLRU:
-		return "plru"
 	default:
 		return "unknown-policy"
 	}
 }
-
-// srripMax is the distant re-reference value for the 2-bit RRPV.
-const srripMax = 3
 
 // IndexFunc maps a line address to a set index.
 type IndexFunc func(addr.Line) int
@@ -104,40 +90,34 @@ const invalidTag = ^addr.Line(0)
 // Cache is a set-associative tag cache with payload type P.
 // It is not safe for concurrent use; the simulator is sequential.
 //
-// Storage is structure-of-arrays: tags, replacement ticks, payloads and SRRIP
-// state each live in their own dense array. The tag-match scan — the hottest
+// Storage is structure-of-arrays: tags, replacement ticks and payloads each
+// live in their own dense array. The tag-match scan — the hottest
 // loop in the simulator — walks only the 8-byte tag words; the LRU victim
 // search additionally walks the dense tick array; the payload array is
 // touched for at most one way per operation. With interleaved per-way structs
 // a 16-way LRU fill read up to six host cache lines of metadata; the split
 // layout reads two lines of tags plus two of ticks.
 type Cache[P any] struct {
-	sets       int
-	ways       int
-	index      Index
-	policy     Policy
-	plruLevels int
-	rng        rng.Rand // used by Random only; a bare uint64, never heap-allocated
-	tags       []addr.Line
-	ticks      []uint64
-	data       []P
-	rrpv       []uint8  // SRRIP re-reference values (allocated for SRRIP only)
-	plru       []uint64 // per-set PLRU tree bits
-	clock      uint64
-	count      int
-	gen        uint32 // bumped on every Put/PutAt/Remove; invalidates Cursors
+	sets   int
+	ways   int
+	index  Index
+	policy Policy
+	rng    rng.Rand // used by Random only; a bare uint64, never heap-allocated
+	tags   []addr.Line
+	ticks  []uint64
+	data   []P
+	clock  uint64
+	count  int
+	gen    uint32 // bumped on every Put/PutAt/Remove; invalidates Cursors
 }
 
 // New returns a Cache with the given geometry. The index maps lines to sets;
 // use ModIndex for conventional caches. The seed feeds the Random policy's
-// generator; deterministic policies (LRU/PLRU/SRRIP) carry no random state
-// beyond the embedded seed word — nothing is allocated for it either way.
+// generator; LRU carries no random state beyond the embedded seed word —
+// nothing is allocated for it either way.
 func New[P any](sets, ways int, index Index, policy Policy, seed int64) *Cache[P] {
 	if sets <= 0 || ways <= 0 {
 		panic("cachesim: sets and ways must be positive")
-	}
-	if policy == PLRU && (ways&(ways-1) != 0 || ways > 64) {
-		panic("cachesim: PLRU requires a power-of-two associativity up to 64")
 	}
 	c := &Cache[P]{
 		sets:   sets,
@@ -153,15 +133,6 @@ func New[P any](sets, ways int, index Index, policy Policy, seed int64) *Cache[P
 	}
 	if policy == Random {
 		c.rng = rng.New(seed)
-	}
-	if policy == SRRIP {
-		c.rrpv = make([]uint8, sets*ways)
-	}
-	if policy == PLRU {
-		c.plru = make([]uint64, sets)
-		for 1<<c.plruLevels < ways {
-			c.plruLevels++
-		}
 	}
 	return c
 }
@@ -201,21 +172,14 @@ func (c *Cache[P]) Probe(l addr.Line) (*P, bool) {
 }
 
 // Access looks up the line and, on a hit, promotes it per the replacement
-// policy (most-recently-used for LRU/PLRU, near re-reference for SRRIP).
+// policy (most recently used).
 func (c *Cache[P]) Access(l addr.Line) (*P, bool) {
-	set := c.index.Of(l)
-	base := set * c.ways
+	base := c.index.Of(l) * c.ways
 	t := c.tags[base : base+c.ways]
 	for i := range t {
 		if t[i] == l {
 			c.clock++
 			c.ticks[base+i] = c.clock
-			switch c.policy {
-			case SRRIP:
-				c.rrpv[base+i] = 0
-			case PLRU:
-				c.plruTouch(set, i)
-			}
 			return &c.data[base+i], true
 		}
 	}
@@ -234,7 +198,6 @@ func (c *Cache[P]) Access(l addr.Line) (*P, bool) {
 // not faster.
 type Cursor struct {
 	base int    // set * ways
-	set  int32  // set index
 	gen  uint32 // cache generation at scan time
 	ok   bool   // set by AccessCursor; the zero Cursor is invalid and safe to pass
 }
@@ -251,23 +214,16 @@ func (c *Cache[P]) Gen() uint32 { return c.gen }
 // so a subsequent PutAt can fill it without a second tag-match pass. On a
 // hit the cursor is the zero Cursor, which PutAt treats as absent.
 func (c *Cache[P]) AccessCursor(l addr.Line) (*P, int, Cursor) {
-	set := c.index.Of(l)
-	base := set * c.ways
+	base := c.index.Of(l) * c.ways
 	t := c.tags[base : base+c.ways]
 	for i := range t {
 		if t[i] == l {
 			c.clock++
 			c.ticks[base+i] = c.clock
-			switch c.policy {
-			case SRRIP:
-				c.rrpv[base+i] = 0
-			case PLRU:
-				c.plruTouch(set, i)
-			}
 			return &c.data[base+i], base + i, Cursor{}
 		}
 	}
-	return nil, -1, Cursor{base: base, set: int32(set), gen: c.gen, ok: true}
+	return nil, -1, Cursor{base: base, gen: c.gen, ok: true}
 }
 
 // PutAt installs a line into the set a prior AccessCursor miss scanned,
@@ -283,7 +239,6 @@ func (c *Cache[P]) PutAt(cur Cursor, l addr.Line, data P) (Victim[P], bool) {
 	}
 	c.gen++
 	c.clock++
-	set := int(cur.set)
 	base := cur.base
 	t := c.tags[base : base+c.ways]
 	if c.policy == LRU {
@@ -303,70 +258,25 @@ func (c *Cache[P]) PutAt(cur Cursor, l addr.Line, data P) (Victim[P], bool) {
 			}
 		}
 		if inv >= 0 {
-			c.fillWay(set, base+inv, l, data)
+			c.fillWay(base+inv, l, data)
 			c.count++
 			return Victim[P]{}, false
 		}
 		v := Victim[P]{Line: t[vi], Data: c.data[base+vi]}
-		c.fillWay(set, base+vi, l, data)
+		c.fillWay(base+vi, l, data)
 		return v, true
 	}
-	inv := -1
 	for i := range t {
 		if t[i] == invalidTag {
-			inv = i
-			break
+			c.fillWay(base+i, l, data)
+			c.count++
+			return Victim[P]{}, false
 		}
 	}
-	if inv >= 0 {
-		c.fillWay(set, base+inv, l, data)
-		c.count++
-		return Victim[P]{}, false
-	}
-	var vi int
-	switch c.policy {
-	case Random:
-		vi = c.rng.Intn(c.ways)
-	case SRRIP:
-		vi = c.srripVictim(base)
-	case PLRU:
-		vi = c.plruVictim(set)
-	}
+	vi := c.rng.Intn(c.ways)
 	v := Victim[P]{Line: t[vi], Data: c.data[base+vi]}
-	c.fillWay(set, base+vi, l, data)
+	c.fillWay(base+vi, l, data)
 	return v, true
-}
-
-// plruTouch flips the tree bits on the path to w so they point away from it.
-func (c *Cache[P]) plruTouch(set, w int) {
-	node := 1
-	for level := c.plruLevels - 1; level >= 0; level-- {
-		right := w>>uint(level)&1 == 1
-		if right {
-			c.plru[set] &^= 1 << uint(node) // 0 = points left (away from right child)
-			node = node*2 + 1
-		} else {
-			c.plru[set] |= 1 << uint(node) // 1 = points right
-			node = node * 2
-		}
-	}
-}
-
-// plruVictim follows the tree bits to the pseudo-LRU way.
-func (c *Cache[P]) plruVictim(set int) int {
-	node := 1
-	w := 0
-	for level := 0; level < c.plruLevels; level++ {
-		right := c.plru[set]&(1<<uint(node)) != 0
-		w <<= 1
-		if right {
-			w |= 1
-			node = node*2 + 1
-		} else {
-			node = node * 2
-		}
-	}
-	return w
 }
 
 // Victim is a line evicted by Put.
@@ -382,8 +292,7 @@ type Victim[P any] struct {
 func (c *Cache[P]) Put(l addr.Line, data P) (Victim[P], bool) {
 	c.gen++
 	c.clock++
-	set := c.index.Of(l)
-	base := set * c.ways
+	base := c.index.Of(l) * c.ways
 	t := c.tags[base : base+c.ways]
 	if c.policy == LRU {
 		// Fused scan: hit / first-invalid / least-recent victim in one pass.
@@ -434,58 +343,27 @@ func (c *Cache[P]) Put(l addr.Line, data P) (Victim[P], bool) {
 		}
 	}
 	if inv >= 0 {
-		c.fillWay(set, base+inv, l, data)
+		c.fillWay(base+inv, l, data)
 		c.count++
 		return Victim[P]{}, false
 	}
-	vi := 0
-	switch c.policy {
-	case Random:
-		vi = c.rng.Intn(c.ways)
-	case SRRIP:
-		vi = c.srripVictim(base)
-	case PLRU:
-		vi = c.plruVictim(set)
-	}
+	vi := c.rng.Intn(c.ways)
 	v := Victim[P]{Line: t[vi], Data: c.data[base+vi]}
-	c.fillWay(set, base+vi, l, data)
+	c.fillWay(base+vi, l, data)
 	return v, true
 }
 
-// fillWay installs a line in way i (a flat index) of the given set.
-func (c *Cache[P]) fillWay(set, i int, l addr.Line, data P) {
+// fillWay installs a line in way i (a flat index).
+func (c *Cache[P]) fillWay(i int, l addr.Line, data P) {
 	c.tags[i] = l
 	c.ticks[i] = c.clock
 	c.data[i] = data
-	switch c.policy {
-	case SRRIP:
-		c.rrpv[i] = srripMax - 1
-	case PLRU:
-		c.plruTouch(set, i-set*c.ways)
-	}
-}
-
-// srripVictim finds (aging as needed) a way predicted for distant reuse.
-// A fresh SRRIP fill is predicted for a long interval (srripMax-1) so scans
-// age out before resident lines.
-func (c *Cache[P]) srripVictim(base int) int {
-	m := c.rrpv[base : base+c.ways]
-	for {
-		for i := range m {
-			if m[i] >= srripMax {
-				return i
-			}
-		}
-		for i := range m {
-			m[i]++
-		}
-	}
 }
 
 // Reset restores the cache to the state New would produce with the given
 // seed, reusing every backing array: all ways invalid, replacement state and
 // the mutation clock zeroed, and the Random policy's generator reseeded.
-// Deterministic policies ignore the seed, exactly as New does. Any Cursor
+// LRU ignores the seed, exactly as New does. Any Cursor
 // taken before the Reset must be discarded.
 func (c *Cache[P]) Reset(seed int64) {
 	for i := range c.tags {
@@ -493,12 +371,6 @@ func (c *Cache[P]) Reset(seed int64) {
 	}
 	clear(c.ticks)
 	clear(c.data)
-	if c.rrpv != nil {
-		clear(c.rrpv)
-	}
-	if c.plru != nil {
-		clear(c.plru)
-	}
 	if c.policy == Random {
 		c.rng = rng.New(seed)
 	}
@@ -537,9 +409,6 @@ func (c *Cache[P]) RemoveSlot(i int) P {
 	c.tags[i] = invalidTag
 	c.ticks[i] = 0
 	c.data[i] = zp
-	if c.rrpv != nil {
-		c.rrpv[i] = 0
-	}
 	c.count--
 	return d
 }

@@ -8,93 +8,17 @@ import (
 )
 
 func TestPolicyString(t *testing.T) {
-	for p, want := range map[Policy]string{LRU: "lru", Random: "random", SRRIP: "srrip", PLRU: "plru"} {
+	for p, want := range map[Policy]string{LRU: "lru", Random: "random"} {
 		if p.String() != want {
 			t.Errorf("%d.String() = %q, want %q", p, p.String(), want)
 		}
 	}
 }
 
-func TestPLRURequiresPow2Ways(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("PLRU with 3 ways did not panic")
-		}
-	}()
-	New[int](4, 3, ModIndex(4), PLRU, 1)
-}
-
-// TestPLRUSingleSetCycle: with repeated touches, the PLRU victim is never
-// the most recently used way.
-func TestPLRUSingleSetCycle(t *testing.T) {
-	c := New[int](1, 4, ModIndex(1), PLRU, 1)
-	for i := 0; i < 4; i++ {
-		c.Put(addr.Line(i), i)
-	}
-	for trial := 0; trial < 50; trial++ {
-		touched := addr.Line(trial % 4)
-		c.Access(touched)
-		v, ev := c.Put(addr.Line(100+trial), 0)
-		if !ev {
-			t.Fatal("full set did not evict")
-		}
-		if v.Line == touched {
-			t.Fatalf("trial %d: PLRU evicted the just-touched line", trial)
-		}
-		// Restore the evicted slot with the original line for the next trial.
-		c.Remove(addr.Line(100 + trial))
-		c.Put(v.Line, 0)
-	}
-}
-
-// TestSRRIPScanResistance: a hot set that is re-referenced survives a long
-// one-shot scan under SRRIP, while LRU loses it. This is the property that
-// makes SRRIP-like policies the realistic choice for LLC/TD structures.
-func TestSRRIPScanResistance(t *testing.T) {
-	survivors := func(p Policy) int {
-		c := New[int](1, 8, ModIndex(1), p, 1)
-		hot := []addr.Line{1, 2, 3, 4}
-		// Establish the hot lines with reuse.
-		for r := 0; r < 4; r++ {
-			for _, h := range hot {
-				if _, ok := c.Access(h); !ok {
-					c.Put(h, 0)
-				}
-			}
-		}
-		// One-shot scan of 64 cold lines interleaved with hot reuse.
-		for i := 0; i < 64; i++ {
-			c.Put(addr.Line(1000+i), 0)
-			if i%2 == 0 {
-				for _, h := range hot {
-					if _, ok := c.Access(h); ok {
-						continue
-					}
-				}
-			}
-		}
-		n := 0
-		for _, h := range hot {
-			if _, ok := c.Probe(h); ok {
-				n++
-			}
-		}
-		return n
-	}
-	srrip := survivors(SRRIP)
-	lru := survivors(LRU)
-	if srrip < lru {
-		t.Errorf("SRRIP kept %d hot lines, LRU kept %d — no scan resistance", srrip, lru)
-	}
-	if srrip == 0 {
-		t.Error("SRRIP lost the whole hot set to a scan")
-	}
-}
-
 // TestPoliciesStructurallySound: every policy preserves the cache's
 // structural invariants under random traffic.
 func TestPoliciesStructurallySound(t *testing.T) {
-	for _, p := range []Policy{LRU, Random, SRRIP, PLRU} {
+	for _, p := range []Policy{LRU, Random} {
 		c := New[int](8, 4, ModIndex(8), p, 7)
 		rng := rand.New(rand.NewSource(3))
 		resident := map[addr.Line]bool{}

@@ -186,7 +186,7 @@ func NewEngine(cfg config.Config) (*Engine, error) {
 	e.stats.Core = make([]CoreStats, cfg.Cores)
 	for c := 0; c < cfg.Cores; c++ {
 		e.l1[c] = cachesim.New[struct{}](cfg.L1Sets, cfg.L1Ways, cachesim.ModIndex(cfg.L1Sets), cachesim.LRU, cfg.Seed+int64(c)*31)
-		e.l2[c] = cachesim.New[l2Line](cfg.L2Sets, cfg.L2Ways, cachesim.ModIndex(cfg.L2Sets), cfg.L2Policy, cfg.Seed+int64(c)*37)
+		e.l2[c] = cachesim.New[l2Line](cfg.L2Sets, cfg.L2Ways, cachesim.ModIndex(cfg.L2Sets), cachesim.LRU, cfg.Seed+int64(c)*37)
 	}
 	// Identical to closing over m.Set, but expressed as data so directory
 	// probes stay on the cachesim shift-and-mask fast path.
@@ -223,10 +223,7 @@ func buildSlice(cfg config.Config, index cachesim.Index, s int) (directory.Slice
 			VDSets: cfg.VDSets, VDWays: cfg.VDWays,
 			NumRelocations: cfg.NumRelocations,
 			Cuckoo:         cfg.VDCuckoo,
-			EmptyBit:       cfg.VDEmptyBit,
 			DisableEDTD:    cfg.DisableEDTD,
-			SearchBatch:    cfg.VDSearchBatch,
-			StashSize:      cfg.VDStash,
 			Index:          index,
 			AppendixAFix:   cfg.AppendixAFix,
 			Seed:           seed,
@@ -269,7 +266,6 @@ func buildSlice(cfg config.Config, index cachesim.Index, s int) (directory.Slice
 			TDSets: cfg.TDSets, TDWays: cfg.TDWays,
 			EDSets: cfg.EDSets, EDWays: cfg.EDWays,
 			RekeyEvery: cfg.RekeyEvery,
-			RemapStep:  cfg.RemapStep,
 			Seed:       seed,
 		}), nil
 	default:
@@ -378,37 +374,13 @@ func (e *Engine) DirStats() directory.Stats {
 	return agg
 }
 
-// dirLatency returns the round trip to the line's home slice from the core.
-// With MeshHopRT set, tiles sit on a width-4 mesh (Table 4's 4×2 layout for
-// 8 cores) and the cost grows with the Manhattan distance; otherwise the flat
-// local/remote split applies.
+// dirLatency returns the round trip to the line's home slice from the core:
+// the flat local/remote split of Table 4.
 func (e *Engine) dirLatency(c, slice int) int {
-	if hop := e.cfg.Lat.MeshHopRT; hop > 0 {
-		return e.cfg.Lat.DirLocalRT + hop*meshHops(c, slice, e.cfg.Cores)
-	}
 	if c == slice {
 		return e.cfg.Lat.DirLocalRT
 	}
 	return e.cfg.Lat.DirRemoteRT
-}
-
-// meshHops returns the Manhattan distance between two tiles on a mesh of
-// width min(4, cores).
-func meshHops(a, b, cores int) int {
-	w := 4
-	if cores < w {
-		w = cores
-	}
-	ax, ay := a%w, a/w
-	bx, by := b%w, b/w
-	dx, dy := ax-bx, ay-by
-	if dx < 0 {
-		dx = -dx
-	}
-	if dy < 0 {
-		dy = -dy
-	}
-	return dx + dy
 }
 
 // Access performs one memory access by the core and returns where it was
@@ -464,17 +436,11 @@ func (e *Engine) Access(c int, line addr.Line, write bool) AccessResult {
 
 	lat := e.cfg.Lat.L2RT + e.dirLatency(c, slice)
 	if res.VDConsulted {
-		rounds := int(res.VDBatchRounds)
-		if rounds < 1 {
-			rounds = 1
-		}
-		if e.cfg.VDEmptyBit {
-			lat += e.cfg.Lat.EBCheck
-			if res.VDBanksProbed > 0 {
-				lat += e.cfg.Lat.VDAccess * rounds
-			}
-		} else {
-			lat += e.cfg.Lat.VDAccess * rounds
+		// The Empty-Bit check always runs; the banks are read only when
+		// some candidate set is non-empty (§5.2.2).
+		lat += e.cfg.Lat.EBCheck
+		if res.VDBanksProbed > 0 {
+			lat += e.cfg.Lat.VDAccess
 		}
 	} else if e.cfg.Kind == config.SecDir {
 		// §6 timing-channel mitigation: pad ED/TD-satisfied transactions so
@@ -499,16 +465,11 @@ func (e *Engine) Access(c int, line addr.Line, write bool) AccessResult {
 		lat += e.cfg.Lat.DRAMRT
 	case directory.SourceRemoteL2:
 		lat += e.cfg.Lat.CacheToCore
-		// A forwarding exclusive owner downgrades on a read: M→O / E→S under
-		// MOESI; under MESI there is no Owned state, so a dirty forwarder
-		// writes back to memory and both copies become Shared.
+		// A forwarding exclusive owner downgrades on a read (M→O / E→S):
+		// the owner keeps the only dirty copy, with no memory write-back.
 		if !write {
 			if fs, ok := e.l2[res.SrcCore].Probe(line); ok {
 				fs.Excl = false
-				if e.cfg.Protocol == config.MESI && fs.Dirty {
-					fs.Dirty = false
-					e.stats.MemWritebacks++
-				}
 			}
 		}
 	}

@@ -37,7 +37,6 @@ func smallConfig(kind config.DirectoryKind) config.Config {
 		cfg.VDSets, cfg.VDWays = 8, 2
 		cfg.NumRelocations = 4
 		cfg.VDCuckoo = true
-		cfg.VDEmptyBit = true
 	case config.WayPartitioned:
 		// Per-core partitioning needs at least one way per core.
 		cfg.TDWays, cfg.EDWays = 4, 4

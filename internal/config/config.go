@@ -3,11 +3,7 @@
 // Tables 3 and 4 of the paper.
 package config
 
-import (
-	"fmt"
-
-	"secdir/internal/cachesim"
-)
+import "fmt"
 
 // DirectoryKind selects the directory organization of the simulated machine.
 type DirectoryKind int
@@ -87,13 +83,6 @@ type Latencies struct {
 	// round-trip latency divided by the achieved overlap. A first-order
 	// constant models this; 1 yields a fully blocking core.
 	MLP int
-
-	// MeshHopRT, when positive, replaces the flat local/remote split with a
-	// distance-based model of Table 4's 4×2 mesh: a directory access costs
-	// DirLocalRT plus MeshHopRT round-trip cycles per Manhattan hop between
-	// the requesting tile and the home slice's tile. 0 keeps the two-level
-	// model.
-	MeshHopRT int
 }
 
 // Config fully describes one simulated machine.
@@ -106,10 +95,6 @@ type Config struct {
 	// tracks L2 contents only (see DESIGN.md).
 	L1Sets, L1Ways int
 	L2Sets, L2Ways int
-
-	// L2Policy selects the private-cache replacement policy (LRU default;
-	// SRRIP and tree-PLRU model what shipping cores implement).
-	L2Policy cachesim.Policy
 
 	// Traditional Directory: coupled to the LLC slice (TDWays == LLC ways).
 	TDSets, TDWays int
@@ -127,27 +112,6 @@ type Config struct {
 	// VDCuckoo selects the cuckoo organization (CKVD) vs. a plain one-hash
 	// bank (NoCKVD) — the Table 6 comparison.
 	VDCuckoo bool
-	// VDEmptyBit enables the Empty-Bit arrays that skip accesses to empty
-	// VD sets (§5.2.2). This only affects latency/energy accounting.
-	VDEmptyBit bool
-
-	// Protocol selects the coherence protocol family. SecDir works with any
-	// protocol (§4.2); the paper's evaluation uses MOESI, the §7 analysis
-	// assumes MESI.
-	Protocol Protocol
-
-	// VDSearchBatch limits how many VD banks are searched at a time
-	// (§5.1: "SecDir can save hardware by performing the VD search
-	// operation in batches — e.g., by accessing and searching 8 VD banks at
-	// a time"). 0 searches all banks in parallel. On reads, the search is
-	// called off as soon as a matching entry is found.
-	VDSearchBatch int
-
-	// VDStash adds a small fully-associative stash to each VD bank that
-	// absorbs entries a failed cuckoo relocation chain would otherwise
-	// evict — one of the "more sophisticated cuckoo" extensions §10.3
-	// leaves to future work. 0 disables it.
-	VDStash int
 
 	// Mitigation selects the §6 defense against the VD timing side channel
 	// (the VD is accessed after the ED/TD, so coherence transactions that
@@ -171,38 +135,10 @@ type Config struct {
 	// incremental remap step); 0 never re-keys.
 	RekeyEvery int
 
-	// RemapStep (Ceaser only) is the number of sets relocated per remap
-	// step; 0 picks sets/64, a full epoch every 64 steps.
-	RemapStep int
-
 	Lat Latencies
 
 	// Seed feeds every PRNG in the machine (replacement, cuckoo picks).
 	Seed int64
-}
-
-// Protocol selects the coherence protocol family.
-type Protocol int
-
-const (
-	// MOESI lets a dirty line be shared: the owner downgrades M→O on a
-	// remote read and keeps the only dirty copy (no memory write-back).
-	MOESI Protocol = iota
-	// MESI has no Owned state: a remote read of a Modified line writes the
-	// dirty data back to memory and both copies become Shared.
-	MESI
-)
-
-// String implements fmt.Stringer.
-func (p Protocol) String() string {
-	switch p {
-	case MOESI:
-		return "MOESI"
-	case MESI:
-		return "MESI"
-	default:
-		return fmt.Sprintf("Protocol(%d)", int(p))
-	}
 }
 
 // TimingMitigation selects how the §6 VD timing side channel is closed.
@@ -291,7 +227,6 @@ func SecDirConfig(cores int) Config {
 	c.VDSets = ceilPow2(l2Lines / (cores * c.VDWays))
 	c.NumRelocations = 8
 	c.VDCuckoo = true
-	c.VDEmptyBit = true
 	return c
 }
 

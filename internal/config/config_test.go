@@ -23,7 +23,7 @@ func TestSecDirDefaults(t *testing.T) {
 	if err := c.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	if c.Kind != SecDir || !c.AppendixAFix || !c.VDCuckoo || !c.VDEmptyBit {
+	if c.Kind != SecDir || !c.AppendixAFix || !c.VDCuckoo {
 		t.Fatalf("SecDir defaults wrong: %+v", c)
 	}
 	if c.EDWays != 8 {

@@ -17,7 +17,6 @@ func skylakeSlice() *Slice {
 		VDSets: 512, VDWays: 4,
 		NumRelocations: 8,
 		Cuckoo:         true,
-		EmptyBit:       true,
 		Index:          cachesim.ModIndex(2048),
 		AppendixAFix:   true,
 		Seed:           1,
@@ -40,7 +39,7 @@ func BenchmarkMissColdStream(b *testing.B) {
 }
 
 // TestMissAllocFree pins zero heap allocations on Slice.Miss (ED/TD probes
-// plus the batched VD search of §5.1) once the slice is filled past its
+// plus the parallel VD search of §5.1) once the slice is filled past its
 // ED+TD capacity, counted over a whole window so no rare-path allocation
 // averages away. The window must hit ED, TD, VD and memory and migrate TD
 // entries into the VDs.

@@ -21,7 +21,6 @@ func fuzzSliceParams() Params {
 		VDSets: 2, VDWays: 1,
 		NumRelocations: 2,
 		Cuckoo:         true,
-		EmptyBit:       true,
 		Index:          cachesim.FuncIndex(func(l addr.Line) int { return int(l) % 4 }),
 		AppendixAFix:   true,
 		Seed:           7,

@@ -22,9 +22,6 @@ func TestSecDirSliceFuzzAgainstOracle(t *testing.T) {
 	}{
 		{"standard", func(*Params) {}},
 		{"no-cuckoo", func(p *Params) { p.Cuckoo = false }},
-		{"no-eb", func(p *Params) { p.EmptyBit = false }},
-		{"batched", func(p *Params) { p.SearchBatch = 2 }},
-		{"stash", func(p *Params) { p.StashSize = 2 }},
 		{"disable-edtd", func(p *Params) { p.DisableEDTD = true }},
 		{"tiny-vd", func(p *Params) { p.VDSets = 2; p.VDWays = 1; p.NumRelocations = 2 }},
 	}
@@ -39,7 +36,6 @@ func TestSecDirSliceFuzzAgainstOracle(t *testing.T) {
 				VDSets: 8, VDWays: 2,
 				NumRelocations: 4,
 				Cuckoo:         true,
-				EmptyBit:       true,
 				Index:          cachesim.FuncIndex(func(l addr.Line) int { return int(l) % 8 }),
 				AppendixAFix:   true,
 				Seed:           seed,

@@ -23,17 +23,9 @@ type Slice struct {
 	vd    []*cuckoo.Table
 	banks int
 
-	// emptyBit enables the per-set Empty Bit arrays that filter accesses to
-	// empty VD sets (§5.2.2). It affects only the look-up counters (and,
-	// through them, the latency the engine charges).
-	emptyBit bool
-
 	// disableEDTD emulates the strongest adversary of §9, which fully
 	// controls the shared ED and TD: the victim can use only its VDs.
 	disableEDTD bool
-
-	// searchBatch limits the banks searched per round (0 = all).
-	searchBatch int
 }
 
 // Verify interface conformance.
@@ -47,16 +39,10 @@ type Params struct {
 	VDSets, VDWays int
 	NumRelocations int
 	Cuckoo         bool // cuckoo (CKVD) vs. single-hash (NoCKVD) banks
-	EmptyBit       bool
 	DisableEDTD    bool
-	// SearchBatch limits how many banks one search round touches (§5.1);
-	// 0 searches all banks in parallel. Reads stop at the first hit.
-	SearchBatch int
-	// StashSize adds a per-bank overflow stash to the cuckoo tables.
-	StashSize    int
-	Index        cachesim.Index
-	AppendixAFix bool
-	Seed         int64
+	Index          cachesim.Index
+	AppendixAFix   bool
+	Seed           int64
 }
 
 // New returns an empty SecDir slice.
@@ -65,9 +51,7 @@ func New(p Params) *Slice {
 		d:           directory.NewTDED(p.TDSets, p.TDWays, p.EDSets, p.EDWays, p.Index, p.AppendixAFix, p.Seed),
 		vd:          make([]*cuckoo.Table, p.Cores),
 		banks:       p.Cores,
-		emptyBit:    p.EmptyBit,
 		disableEDTD: p.DisableEDTD,
-		searchBatch: p.SearchBatch,
 	}
 	for c := range s.vd {
 		s.vd[c] = cuckoo.New(cuckoo.Config{
@@ -75,7 +59,6 @@ func New(p Params) *Slice {
 			Ways:           p.VDWays,
 			NumRelocations: p.NumRelocations,
 			Cuckoo:         p.Cuckoo,
-			StashSize:      p.StashSize,
 			Seed:           p.Seed + int64(c)*7919,
 		})
 	}
@@ -135,48 +118,25 @@ func (s *Slice) insertVD(core int, line addr.Line) {
 	})
 }
 
-// vdSearch assembles the presence bit vector of Figure 4(b), counting bank
-// look-ups with and without the Empty Bit filter. With a search-batch limit
-// (§5.1), banks are visited batch by batch and — when stopAtFirst is set, as
-// on read requests — the search is called off as soon as a match is found.
-// It returns the sharers found and the number of batch rounds visited.
-func (s *Slice) vdSearch(line addr.Line, stopAtFirst bool) (directory.Bitset, int) {
-	batch := s.searchBatch
-	if batch <= 0 || batch > s.banks {
-		batch = s.banks
-	}
+// vdSharers searches every VD bank in parallel (§5.1) and assembles the
+// presence bit vector of Figure 4(b), counting bank look-ups with and without
+// the Empty Bit filter (§5.2.2).
+func (s *Slice) vdSharers(line addr.Line) directory.Bitset {
 	// All banks share one geometry, so the skewing hashes agree across banks:
 	// hash the line once and probe every bank at the precomputed pair — the
 	// hardware computes h1/h2 once per request too, not once per bank.
 	s0, s1 := s.vd[0].SetPair(line)
 	var sh directory.Bitset
-	rounds := 0
-	for start := 0; start < s.banks; start += batch {
-		rounds++
-		end := start + batch
-		if end > s.banks {
-			end = s.banks
+	for c := 0; c < s.banks; c++ {
+		s.d.Stat.VDLookupsNoEB++
+		if s.vd[c].EmptyBitHitAt(s0, s1) {
+			continue
 		}
-		for c := start; c < end; c++ {
-			s.d.Stat.VDLookupsNoEB++
-			if s.emptyBit && s.vd[c].EmptyBitHitAt(s0, s1) {
-				continue
-			}
-			s.d.Stat.VDLookups++
-			if s.vd[c].ContainsAt(line, s0, s1) {
-				sh = sh.Set(c)
-			}
-		}
-		if stopAtFirst && sh != 0 {
-			break
+		s.d.Stat.VDLookups++
+		if s.vd[c].ContainsAt(line, s0, s1) {
+			sh = sh.Set(c)
 		}
 	}
-	return sh, rounds
-}
-
-// vdSharers performs a full (non-early-out) VD search.
-func (s *Slice) vdSharers(line addr.Line) directory.Bitset {
-	sh, _ := s.vdSearch(line, false)
 	return sh
 }
 
@@ -227,15 +187,12 @@ func (s *Slice) Miss(core int, line addr.Line, write bool) directory.MissResult 
 		tdCur = c2
 	}
 
-	// ED and TD missed: consult the Victim Directories (§5.1). Reads call
-	// off the search at the first matching bank; writes need the complete
-	// sharer vector.
+	// ED and TD missed: consult the Victim Directories (§5.1).
 	probedBefore := s.d.Stat.VDLookups
-	sharers, rounds := s.vdSearch(line, !write)
+	sharers := s.vdSharers(line)
 	res := directory.MissResult{
 		VDConsulted:   true,
 		VDBanksProbed: uint8(s.d.Stat.VDLookups - probedBefore),
-		VDBatchRounds: uint8(rounds),
 	}
 	if sharers != 0 {
 		s.d.Stat.VDHits++

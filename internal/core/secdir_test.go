@@ -26,7 +26,6 @@ func newSlice(opts ...func(*Params)) *Slice {
 		VDSets: 8, VDWays: 2,
 		NumRelocations: 4,
 		Cuckoo:         true,
-		EmptyBit:       true,
 		Index:          cachesim.FuncIndex(index),
 		AppendixAFix:   true,
 		Seed:           1,
@@ -301,13 +300,6 @@ func TestEmptyBitAccounting(t *testing.T) {
 	st := s.Stats()
 	if st.VDLookupsNoEB != uint64(tCores) || st.VDLookups != 0 {
 		t.Fatalf("lookup counters: %d/%d", st.VDLookups, st.VDLookupsNoEB)
-	}
-
-	// Without the EB, every bank is probed.
-	s2 := newSlice(func(p *Params) { p.EmptyBit = false })
-	res = s2.Miss(0, lineInSet(0, 0), false)
-	if res.VDBanksProbed != tCores {
-		t.Fatalf("no-EB probe count = %d", res.VDBanksProbed)
 	}
 }
 

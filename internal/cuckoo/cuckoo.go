@@ -44,13 +44,6 @@ type Table struct {
 	// scanning the ways on the hottest filter in the VD search path.
 	occ []uint16
 
-	// stash is a small fully-associative overflow buffer: entries that a
-	// failed relocation chain would evict are parked here instead (a
-	// classic cuckoo-with-stash design; §10.3 leaves "more sophisticated"
-	// cuckoo organizations to future work). FIFO replacement.
-	stash    []entry
-	stashCap int
-
 	// Conflicts counts insertions that ended by evicting a live entry —
 	// the VD self-conflicts of Table 6.
 	Conflicts uint64
@@ -71,9 +64,7 @@ type Config struct {
 	Ways           int
 	NumRelocations int  // maximum relocation chain length (8 in Table 4)
 	Cuckoo         bool // use two hash functions (CKVD) or one (NoCKVD)
-	// StashSize adds a fully-associative overflow stash (0 disables).
-	StashSize int
-	Seed      int64
+	Seed           int64
 }
 
 // New returns an empty Table.
@@ -84,34 +75,26 @@ func New(cfg Config) *Table {
 	if cfg.Ways <= 0 {
 		panic("cuckoo: ways must be positive")
 	}
-	t := &Table{
+	return &Table{
 		sets:        cfg.Sets,
 		ways:        cfg.Ways,
 		skew:        hashfn.NewSkew(cfg.Sets),
 		relocations: cfg.NumRelocations,
 		cuckoo:      cfg.Cuckoo,
-		stashCap:    cfg.StashSize,
 		rng:         rng.New(cfg.Seed),
 		arr:         make([]entry, cfg.Sets*cfg.Ways),
 		occ:         make([]uint16, cfg.Sets),
 	}
-	if t.stashCap > 0 {
-		// The stash is bounded by stashCap; allocating it up front keeps the
-		// insert path allocation-free.
-		t.stash = make([]entry, 0, t.stashCap)
-	}
-	return t
 }
 
 // Reset restores the table to the state New would produce with the given
-// seed, reusing the entry, occupancy and stash storage: every entry and
+// seed, reusing the entry and occupancy storage: every entry and
 // Empty-Bit count zeroed, the counters cleared, and the relocation generator
 // reseeded. The skew hash functions are seedless and keep their
 // construction-time tables.
 func (t *Table) Reset(seed int64) {
 	clear(t.arr)
 	clear(t.occ)
-	t.stash = t.stash[:0]
 	t.count = 0
 	t.rng = rng.New(seed)
 	t.Conflicts = 0
@@ -178,15 +161,7 @@ func (t *Table) ContainsAt(l addr.Line, s0, s1 int) bool {
 	if t.occ[s0] != 0 && t.findWayIn(s0, 0, l) >= 0 {
 		return true
 	}
-	if t.cuckoo && t.occ[s1] != 0 && t.findWayIn(s1, 1, l) >= 0 {
-		return true
-	}
-	for i := range t.stash {
-		if t.stash[i].line == l {
-			return true
-		}
-	}
-	return false
+	return t.cuckoo && t.occ[s1] != 0 && t.findWayIn(s1, 1, l) >= 0
 }
 
 // findWay returns the way index of l in its fn-hashed set, or -1.
@@ -236,13 +211,6 @@ func (t *Table) Remove(l addr.Line) bool {
 			return true
 		}
 	}
-	for i := range t.stash {
-		if t.stash[i].line == l {
-			t.stash = append(t.stash[:i], t.stash[i+1:]...)
-			t.count--
-			return true
-		}
-	}
 	return false
 }
 
@@ -287,9 +255,7 @@ func (t *Table) Insert(l addr.Line) (victim addr.Line, evicted bool) {
 		return victim, true
 	}
 	// Both candidate sets full: displace an entry and relocate it under its
-	// alternate hash function, bounded by NumRelocations. Only a failed
-	// chain falls back to the stash, keeping the stash free for genuine
-	// overflow.
+	// alternate hash function, bounded by NumRelocations.
 	fn := t.rng.Intn(2)
 	cur.fn = uint8(fn)
 	for r := 0; r <= t.relocations; r++ {
@@ -316,26 +282,11 @@ func (t *Table) Insert(l addr.Line) (victim addr.Line, evicted bool) {
 			return 0, false
 		}
 		if r == t.relocations {
-			// Give up. With a stash, the displaced entry is parked there
-			// instead of being evicted; otherwise (or with a full stash)
-			// an entry leaves the table for good. Note the final victim is
-			// generally not from the set the new entry hashed to, which
-			// obscures conflict patterns (Appendix B).
+			// Give up: the displaced entry leaves the table for good. Note
+			// the final victim is generally not from the set the new entry
+			// hashed to, which obscures conflict patterns (Appendix B).
 			t.Relocated += uint64(r)
 			t.RelocDepth.Add(uint64(r) + 1)
-			if t.stashCap > 0 && len(t.stash) < t.stashCap {
-				t.stash = append(t.stash, disp)
-				t.count++
-				return 0, false
-			}
-			if t.stashCap > 0 {
-				// FIFO: the oldest stash entry makes room for the new one.
-				victim := t.stash[0].line
-				t.stash = append(t.stash[:0], t.stash[1:]...)
-				t.stash = append(t.stash, disp)
-				t.Conflicts++
-				return victim, true
-			}
 			t.Conflicts++
 			return disp.line, true
 		}
@@ -352,11 +303,5 @@ func (t *Table) Lines() []addr.Line {
 			out = append(out, t.arr[i].line)
 		}
 	}
-	for i := range t.stash {
-		out = append(out, t.stash[i].line)
-	}
 	return out
 }
-
-// StashLen returns the number of entries currently parked in the stash.
-func (t *Table) StashLen() int { return len(t.stash) }

@@ -15,7 +15,7 @@ func FuzzTableOps(f *testing.F) {
 	f.Add([]byte{0, 10, 0, 10, 1, 10})
 	f.Add([]byte{0, 1, 0, 2, 0, 3, 0, 4, 0, 5, 0, 6, 0, 7, 0, 8, 1, 1, 2, 2})
 	f.Fuzz(func(t *testing.T, ops []byte) {
-		tb := New(Config{Sets: 4, Ways: 2, NumRelocations: 3, Cuckoo: true, StashSize: 1, Seed: 1})
+		tb := New(Config{Sets: 4, Ways: 2, NumRelocations: 3, Cuckoo: true, Seed: 1})
 		resident := map[addr.Line]bool{}
 		for i := 0; i+1 < len(ops); i += 2 {
 			l := addr.Line(ops[i+1] % 64)

@@ -35,7 +35,6 @@ func propConfigs() []propConfig {
 	return []propConfig{
 		{"cuckoo", Config{Sets: 16, Ways: 2, NumRelocations: 8, Cuckoo: true, Seed: 11}},
 		{"cuckoo-tight", Config{Sets: 2, Ways: 1, NumRelocations: 2, Cuckoo: true, Seed: 12}},
-		{"cuckoo-stash", Config{Sets: 8, Ways: 2, NumRelocations: 4, Cuckoo: true, StashSize: 4, Seed: 13}},
 		{"plain", Config{Sets: 16, Ways: 2, Cuckoo: false, Seed: 14}},
 	}
 }
@@ -46,7 +45,7 @@ func propConfigs() []propConfig {
 //   - agreement: Contains matches the model for every line ever touched, and
 //     Lines() is exactly the model's set (no lost or duplicated entries);
 //   - occupancy: Len() equals the model's size and never exceeds
-//     Capacity()+StashSize;
+//     Capacity();
 //   - bounded work (Appendix B): an insertion performs at most
 //     NumRelocations relocation steps and evicts at most one entry.
 func TestTablePropertyVsModel(t *testing.T) {
@@ -58,7 +57,7 @@ func TestTablePropertyVsModel(t *testing.T) {
 			rng := rand.New(rand.NewSource(pc.cfg.Seed * 997))
 			// A universe a few times the capacity keeps both hits and
 			// conflicts frequent.
-			universe := 4 * (tab.Capacity() + pc.cfg.StashSize)
+			universe := 4 * tab.Capacity()
 			const ops = 20_000
 			for i := 0; i < ops; i++ {
 				l := addr.Line(rng.Intn(universe))
@@ -98,11 +97,8 @@ func TestTablePropertyVsModel(t *testing.T) {
 				if tab.Len() != len(ref) {
 					t.Fatalf("op %d: Len() = %d, model %d", i, tab.Len(), len(ref))
 				}
-				if max := tab.Capacity() + pc.cfg.StashSize; tab.Len() > max {
-					t.Fatalf("op %d: occupancy %d over capacity %d", i, tab.Len(), max)
-				}
-				if tab.StashLen() > pc.cfg.StashSize {
-					t.Fatalf("op %d: stash %d over cap %d", i, tab.StashLen(), pc.cfg.StashSize)
+				if tab.Len() > tab.Capacity() {
+					t.Fatalf("op %d: occupancy %d over capacity %d", i, tab.Len(), tab.Capacity())
 				}
 			}
 			// Final full-state agreement: no lost entries, no phantoms.

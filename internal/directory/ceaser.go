@@ -13,10 +13,10 @@ import (
 // the whole directory at once, the slice keeps two keys live and a remap
 // pointer sweeps the set space. Sets below the pointer are already indexed
 // under the next-epoch key; sets above still use the current one. Every
-// RekeyEvery directory operations the pointer advances by RemapStep sets and
-// the resident entries of the swept window are relocated; when the pointer
-// reaches the end, the epoch rolls (next key becomes current) and the sweep
-// restarts.
+// RekeyEvery directory operations the pointer advances by max(1, sets/64)
+// sets (a full epoch every 64 steps) and the resident entries of the swept
+// window are relocated; when the pointer reaches the end, the epoch rolls
+// (next key becomes current) and the sweep restarts.
 //
 // The security argument is the same as RandMapSlice's — and so is the bound:
 // remapping limits how long a discovered eviction set stays useful, but a
@@ -70,10 +70,7 @@ type CeaserParams struct {
 	// RekeyEvery is the number of slice operations between remap steps
 	// (0 = never remap).
 	RekeyEvery int
-	// RemapStep is the number of sets relocated per step; 0 picks
-	// max(1, sets/64), a full epoch every 64 steps.
-	RemapStep int
-	Seed      int64
+	Seed       int64
 }
 
 // NewCeaser returns a gradually-remapped randomized directory slice.
@@ -83,13 +80,7 @@ func NewCeaser(p CeaserParams) *CeaserSlice {
 		mask:       uint64(p.TDSets - 1),
 		rng:        rng.New(p.Seed ^ 0xCEA5E4),
 		rekeyEvery: p.RekeyEvery,
-		remapStep:  p.RemapStep,
-	}
-	if s.remapStep <= 0 {
-		s.remapStep = s.sets / 64
-		if s.remapStep < 1 {
-			s.remapStep = 1
-		}
+		remapStep:  max(1, p.TDSets/64),
 	}
 	s.keyCur = s.rng.Uint64()
 	s.keyNext = s.rng.Uint64()

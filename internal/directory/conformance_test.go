@@ -121,7 +121,7 @@ func conformanceSlices(t *testing.T, seed int64) []confSlice {
 	})
 	ce := directory.NewCeaser(directory.CeaserParams{
 		TDSets: sets, TDWays: 3, EDSets: sets, EDWays: 3,
-		RekeyEvery: 300, RemapStep: 2, Seed: seed,
+		RekeyEvery: 300, Seed: seed,
 	})
 	wp, err := directory.NewWayPartitioned(directory.WayPartParams{
 		Cores: cores, TDSets: sets, TDWays: 4, EDSets: sets, EDWays: 4,
@@ -141,8 +141,7 @@ func conformanceSlices(t *testing.T, seed int64) []confSlice {
 	sd := core.New(core.Params{
 		Cores:  cores,
 		TDSets: sets, TDWays: 3, EDSets: sets, EDWays: 2,
-		VDSets: 8, VDWays: 2, NumRelocations: 4,
-		Cuckoo: true, EmptyBit: true,
+		VDSets: 8, VDWays: 2, NumRelocations: 4, Cuckoo: true,
 		Index: index, AppendixAFix: true, Seed: seed,
 	})
 
@@ -295,6 +294,11 @@ func TestSliceConformance(t *testing.T) {
 					}
 				}
 				m.audit(t, cs, steps)
+				// At 16 sets the remap step is one set, so two full epochs
+				// are 32 steps: the workload must cross epoch boundaries.
+				if ce, ok := cs.slice.(*directory.CeaserSlice); ok && ce.Epochs < 2 {
+					t.Fatalf("ceaser completed %d remap epochs, want at least 2", ce.Epochs)
+				}
 			})
 		}
 	}

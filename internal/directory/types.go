@@ -240,9 +240,6 @@ type MissResult struct {
 	// VDBanksProbed is the number of VD bank arrays actually read; with the
 	// Empty Bit this can be less than the number of banks, down to zero.
 	VDBanksProbed uint8
-	// VDBatchRounds is the number of batched search rounds the look-up took
-	// (1 for the fully parallel design, more with a §5.1 batch limit).
-	VDBatchRounds uint8
 	// Exclusive reports that the requester may install the line in the
 	// Exclusive state (memory fetch, no other sharers).
 	Exclusive bool

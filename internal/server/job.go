@@ -2,6 +2,7 @@ package server
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"sync"
 	"time"
@@ -166,6 +167,9 @@ func (j *Job) Cancel(now time.Time) {
 	j.cancel()
 }
 
+// errRequeued is the error a requeued job reports.
+var errRequeued = errors.New("server draining before the job started; resubmit it")
+
 // requeue marks a still-queued job requeued — the graceful-drain path that
 // hands unstarted work back to the caller instead of dropping it. A job that
 // already started is left alone.
@@ -173,8 +177,7 @@ func (j *Job) requeue(now time.Time) bool {
 	j.mu.Lock()
 	ok := j.state == StateQueued
 	if ok {
-		j.finishLocked(StateRequeued, nil,
-			fmt.Errorf("server draining before the job started; resubmit it"), now)
+		j.finishLocked(StateRequeued, nil, errRequeued, now)
 	}
 	j.mu.Unlock()
 	if ok {

@@ -134,11 +134,11 @@ func (s *Server) Drain(ctx context.Context) ([]string, error) {
 	s.draining = true
 	var requeued []string
 	var requeuedJobs []*Job
+	now := time.Now()
 	if !already {
 		// The pool keeps receiving concurrently; whatever it grabs before the
 		// close simply runs to completion, which drain waits for anyway. Only
 		// jobs still sitting in the channel are handed back.
-		now := time.Now()
 	pull:
 		for {
 			select {
@@ -157,7 +157,7 @@ func (s *Server) Drain(ctx context.Context) ([]string, error) {
 	fc := s.fleetC
 	s.mu.Unlock()
 	for _, j := range requeuedJobs {
-		s.recordJob(j, StateRequeued, nil)
+		s.recordJob(j, StateRequeued, nil, now, errRequeued)
 	}
 
 	idle := make(chan struct{})
@@ -233,23 +233,29 @@ func (s *Server) runJob(j *Job) {
 	s.mu.Unlock()
 
 	now := time.Now()
+	state := StateDone
 	switch {
 	case err == nil:
-		j.finish(StateDone, result, nil, now)
-		s.done.Inc()
-		s.recordJob(j, StateDone, result)
 	case errors.Is(err, context.Canceled):
-		j.finish(StateCanceled, nil, err, now)
-		s.canceled.Inc()
-		s.recordJob(j, StateCanceled, nil)
+		state, result = StateCanceled, nil
 	case errors.Is(err, context.DeadlineExceeded):
-		j.finish(StateFailed, nil, fmt.Errorf("job exceeded %v timeout: %w", s.cfg.JobTimeout, err), now)
-		s.failed.Inc()
-		s.recordJob(j, StateFailed, nil)
+		state, result = StateFailed, nil
+		err = fmt.Errorf("job exceeded %v timeout: %w", s.cfg.JobTimeout, err)
 	default:
-		j.finish(StateFailed, nil, err, now)
+		state, result = StateFailed, nil
+	}
+	// The terminal record (and result artifact) is appended before the state
+	// is published, so a client that sees the job finish — or a restart after
+	// a crash right then — finds the record in the ledger.
+	s.recordJob(j, state, result, now, err)
+	j.finish(state, result, err, now)
+	switch state {
+	case StateDone:
+		s.done.Inc()
+	case StateCanceled:
+		s.canceled.Inc()
+	default:
 		s.failed.Inc()
-		s.recordJob(j, StateFailed, nil)
 	}
 }
 
@@ -342,7 +348,7 @@ func (s *Server) enqueueLocked(j *Job) (bool, error) {
 	if len(s.queue) == cap(s.queue) {
 		return false, nil
 	}
-	err := appendJob(s.st, j, StateQueued, nil)
+	err := appendJob(s.st, j, StateQueued, nil, time.Time{}, nil)
 	s.queue <- j
 	s.jobs[j.ID] = j
 	s.order = append(s.order, j.ID)

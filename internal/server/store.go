@@ -147,22 +147,23 @@ func (s *Server) storeHandle() *store.Store {
 }
 
 // recordJob appends one job lifecycle record to the ledger (a no-op without
-// a store). result, when non-nil, is stored as a content-addressed artifact
-// first. Failures never fail the job: they are counted and surfaced in
-// /storez.
-func (s *Server) recordJob(j *Job, state JobState, result any) {
-	if err := appendJob(s.storeHandle(), j, state, result); err != nil {
+// a store): the job at state, finished at finished (zero while not terminal)
+// with error jobErr. result, when non-nil, is stored as a content-addressed
+// artifact first. Failures never fail the job: they are counted and surfaced
+// in /storez.
+func (s *Server) recordJob(j *Job, state JobState, result any, finished time.Time, jobErr error) {
+	if err := appendJob(s.storeHandle(), j, state, result, finished, jobErr); err != nil {
 		s.noteStoreErr(err)
 	}
 }
 
 // appendJob is recordJob against an explicit store (nil: no-op), for callers
 // that already hold s.mu.
-func appendJob(st *store.Store, j *Job, state JobState, result any) error {
+func appendJob(st *store.Store, j *Job, state JobState, result any, finished time.Time, jobErr error) error {
 	if st == nil {
 		return nil
 	}
-	rec, err := jobRecord(j, state)
+	rec, err := jobRecord(j, state, finished, jobErr)
 	if err == nil && result != nil {
 		rec.ResultDigest, err = st.PutArtifact(result)
 	}
@@ -172,8 +173,10 @@ func appendJob(st *store.Store, j *Job, state JobState, result any) error {
 	return err
 }
 
-// jobRecord builds the ledger record describing j at state.
-func jobRecord(j *Job, state JobState) (store.RunRecord, error) {
+// jobRecord builds the ledger record describing j at state. The state,
+// finish time and error are explicit rather than read back from the job, so
+// a terminal record can be written before the job publishes that state.
+func jobRecord(j *Job, state JobState, finished time.Time, jobErr error) (store.RunRecord, error) {
 	spec, err := store.CanonicalJSON(j.Spec)
 	if err != nil {
 		return store.RunRecord{}, err
@@ -188,8 +191,10 @@ func jobRecord(j *Job, state JobState) (store.RunRecord, error) {
 		Strategy:  strings.Join(j.Spec.Strategies, ","),
 		Submitted: status.Submitted,
 		Started:   status.Started,
-		Finished:  status.Finished,
-		Err:       status.Err,
+		Finished:  finished,
+	}
+	if jobErr != nil {
+		rec.Err = jobErr.Error()
 	}
 	return rec, nil
 }

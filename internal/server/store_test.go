@@ -12,6 +12,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -447,5 +448,100 @@ func TestSubmitRecordsQueuedBeforeWorkersSeeJob(t *testing.T) {
 			t.Errorf("%s: queued record %d (present %v), done record %d (present %v); queued must come first",
 				st.ID, q, okQ, d, okD)
 		}
+	}
+}
+
+// gatedBackend is an in-memory backend whose writes wait until release is
+// closed. With a one-slot store queue it holds the store's writer on the
+// first write and then blocks every append after the next one.
+type gatedBackend struct {
+	*store.MemBackend
+	release chan struct{}
+}
+
+func (g *gatedBackend) PutArtifact(digest string, data []byte) error {
+	<-g.release
+	return g.MemBackend.PutArtifact(digest, data)
+}
+
+func (g *gatedBackend) AppendLedger(lines [][]byte) error {
+	<-g.release
+	return g.MemBackend.AppendLedger(lines)
+}
+
+// goroutineIn reports whether some goroutine's stack contains every one of
+// the given function names.
+func goroutineIn(funcs ...string) bool {
+	buf := make([]byte, 1<<20)
+	buf = buf[:runtime.Stack(buf, true)]
+	for _, g := range strings.Split(string(buf), "\n\n") {
+		all := true
+		for _, f := range funcs {
+			all = all && strings.Contains(g, f)
+		}
+		if all {
+			return true
+		}
+	}
+	return false
+}
+
+// TestTerminalRecordAppendedBeforeStatePublished: a job's terminal ledger
+// record is appended before the job reports the terminal state, so a client
+// that sees "done" always finds the done record. The store's writer is held,
+// so the worker blocks inside the store while it records the finished job;
+// at that point the job must still be running.
+func TestTerminalRecordAppendedBeforeStatePublished(t *testing.T) {
+	gb := &gatedBackend{MemBackend: store.NewMem(), release: make(chan struct{})}
+	st, err := store.Open(gb, store.Options{FlushEvery: 1, QueueDepth: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Cleanups run last-registered first: open the gate, drain the server,
+	// then close the store.
+	t.Cleanup(func() {
+		if err := st.Close(); err != nil {
+			t.Errorf("store close: %v", err)
+		}
+	})
+	cfg := quickConfig()
+	cfg.Workers = 1
+	s := newTestServer(t, cfg)
+	released := false
+	t.Cleanup(func() {
+		if !released {
+			close(gb.release)
+		}
+	})
+	if _, err := s.srv.AttachStore(st); err != nil {
+		t.Fatal(err)
+	}
+
+	// The queued record occupies the writer, which then waits on the gate.
+	job := s.submit(t, quickReplay(), 0)
+	deadline := time.Now().Add(30 * time.Second)
+	for !goroutineIn("server.(*Server).runJob", "store.(*batcher).enqueue") {
+		if time.Now().After(deadline) {
+			t.Fatal("the worker never blocked in the store")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	if got := s.getStatus(t, job.ID).State; got != StateRunning {
+		t.Fatalf("job reports %s before its terminal record is appended", got)
+	}
+
+	close(gb.release)
+	released = true
+	s.waitState(t, job.ID, StateDone, 30*time.Second)
+	recs, err := st.Records()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var states []string
+	for _, rec := range recs {
+		states = append(states, rec.State)
+	}
+	if want := []string{"queued", "done"}; !reflect.DeepEqual(states, want) {
+		t.Errorf("ledger states %v, want %v", states, want)
 	}
 }

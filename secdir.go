@@ -82,15 +82,6 @@ const (
 	LevelMemory = coherence.LevelMemory
 )
 
-// Coherence protocols (Config.Protocol).
-const (
-	// MOESI is the paper's evaluation protocol (§8).
-	MOESI = config.MOESI
-	// MESI writes dirty data back on read-sharing instead of keeping an
-	// Owned copy.
-	MESI = config.MESI
-)
-
 // Timing-channel mitigations (§6, Config.Mitigation).
 const (
 	// MitigationOff leaves the VD timing difference observable.
