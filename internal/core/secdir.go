@@ -77,6 +77,20 @@ func (s *Slice) Reset(seed int64) {
 	}
 }
 
+// AppendState implements directory.Slice: the TD/ED state, then every VD
+// bank's, then the slice's mode.
+func (s *Slice) AppendState(b []byte) []byte {
+	b = s.d.AppendState(b)
+	for _, bank := range s.vd {
+		b = bank.AppendState(b)
+	}
+	eb := byte(0)
+	if s.disableEDTD {
+		eb = 1
+	}
+	return append(b, byte(s.banks), eb)
+}
+
 // tdVictim disposes of a TD conflict victim per Figure 3(b), appending the
 // side effects to the slice's action buffer.
 func (s *Slice) tdVictim(line addr.Line, m directory.Meta) {

@@ -54,3 +54,7 @@ func (r *Rand) Intn(n int) int {
 func (r *Rand) Float64() float64 {
 	return float64(r.Uint64()>>11) / (1 << 53)
 }
+
+// State returns the generator's whole state word: two generators with equal
+// states produce equal streams. State digests record it.
+func (r Rand) State() uint64 { return r.state }

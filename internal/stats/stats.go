@@ -4,6 +4,7 @@
 package stats
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math"
 	"math/bits"
@@ -94,6 +95,16 @@ func (h *Histogram) Merge(o *Histogram) {
 	}
 	h.total += o.total
 	h.sum += o.sum
+}
+
+// AppendState appends the histogram's every counter to b, little-endian:
+// equal histograms give equal bytes (state digests).
+func (h *Histogram) AppendState(b []byte) []byte {
+	for _, c := range h.buckets {
+		b = binary.LittleEndian.AppendUint64(b, c)
+	}
+	b = binary.LittleEndian.AppendUint64(b, h.total)
+	return binary.LittleEndian.AppendUint64(b, h.sum)
 }
 
 // N returns the observation count.
