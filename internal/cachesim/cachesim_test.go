@@ -1,6 +1,7 @@
 package cachesim
 
 import (
+	"bytes"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -225,6 +226,42 @@ func TestResetMatchesFresh(t *testing.T) {
 			if ae != be || av != bv {
 				t.Fatalf("policy %v op %d: victim diverged: fresh (%v,%v) reset (%v,%v)",
 					policy, i, av, ae, bv, be)
+			}
+		}
+	}
+}
+
+// TestResetStateMatchesNew: after fills through Put and PutAt, removals and
+// hits touching only some sets, Reset(seed) leaves the whole state — every
+// way, tick and payload, the generator and clocks — equal to New's, for
+// both policies and for warm-ups that touch few or all sets.
+func TestResetStateMatchesNew(t *testing.T) {
+	for _, policy := range []Policy{LRU, Random} {
+		for _, span := range []int{3, 40, 1024} {
+			c := New[int64](64, 4, ModIndex(64), policy, 9)
+			r := rand.New(rand.NewSource(int64(span)))
+			for round := 0; round < 3; round++ {
+				for i := 0; i < 500; i++ {
+					l := addr.Line(r.Intn(span))
+					switch r.Intn(4) {
+					case 0:
+						c.Put(l, int64(i))
+					case 1:
+						if _, slot, cur := c.AccessCursor(l); slot < 0 {
+							c.PutAt(cur, l, int64(i))
+						}
+					case 2:
+						c.Remove(l)
+					default:
+						c.Access(l)
+					}
+				}
+				seed := int64(round + 100)
+				c.Reset(seed)
+				want := New[int64](64, 4, ModIndex(64), policy, seed)
+				if !bytes.Equal(c.AppendState(nil), want.AppendState(nil)) {
+					t.Fatalf("policy %v span %d round %d: Reset state differs from New", policy, span, round)
+				}
 			}
 		}
 	}

@@ -80,6 +80,51 @@ func TestEngineMixedAllocFree(t *testing.T) {
 	}
 }
 
+// TestResetAllocFree pins the in-place reset: at full 8-core geometry, on an
+// engine a warm-up dirtied, Engine.Reset allocates nothing for any design —
+// no directory kind rebuilds its slices or its keyed hash tables.
+func TestResetAllocFree(t *testing.T) {
+	for _, d := range allDesigns(fullConfig) {
+		t.Run(d.name, func(t *testing.T) {
+			e, _ := warmEngine(t, d.cfg)
+			seed := d.cfg.Seed
+			allocs := testing.AllocsPerRun(1, func() {
+				seed++
+				if err := e.Reset(seed); err != nil {
+					t.Fatal(err)
+				}
+			})
+			if allocs != 0 {
+				t.Fatalf("%v heap allocations per Reset, want 0", allocs)
+			}
+		})
+	}
+}
+
+// BenchmarkReset times Engine.Reset after a short trial-sized burst of
+// accesses, the leakage lab's per-trial pattern, for every design at full
+// geometry.
+func BenchmarkReset(b *testing.B) {
+	for _, d := range allDesigns(fullConfig) {
+		b.Run(d.name, func(b *testing.B) {
+			e, gen := warmEngine(b, d.cfg)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				for j := 0; j < 2000; j++ {
+					a := gen.Next()
+					e.Access(j&7, a.Line, a.Write)
+				}
+				b.StartTimer()
+				if err := e.Reset(int64(i)); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
 // BenchmarkAccess times the steady-state access path of every directory
 // design on the engine and stream TestEngineMixedAllocFree checks.
 func BenchmarkAccess(b *testing.B) {

@@ -1,6 +1,7 @@
 package cuckoo
 
 import (
+	"bytes"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -225,5 +226,33 @@ func TestPanics(t *testing.T) {
 			}()
 			New(cfg)
 		}()
+	}
+}
+
+// TestResetStateMatchesNew: after inserts (relocation chains and conflicts
+// included) and removals, Reset(seed) leaves every entry, Empty-Bit count,
+// counter and the generator equal to New's, in both bank modes.
+func TestResetStateMatchesNew(t *testing.T) {
+	for _, ck := range []bool{true, false} {
+		for _, span := range []int{5, 100, 4096} {
+			cfg := Config{Sets: 16, Ways: 4, NumRelocations: 4, Cuckoo: ck, Seed: 3}
+			tb := New(cfg)
+			r := rand.New(rand.NewSource(int64(span)))
+			for round := 0; round < 3; round++ {
+				for i := 0; i < 300; i++ {
+					l := addr.Line(r.Intn(span))
+					if r.Intn(3) == 0 {
+						tb.Remove(l)
+					} else {
+						tb.Insert(l)
+					}
+				}
+				cfg.Seed = int64(round + 50)
+				tb.Reset(cfg.Seed)
+				if !bytes.Equal(tb.AppendState(nil), New(cfg).AppendState(nil)) {
+					t.Fatalf("cuckoo=%v span %d round %d: Reset state differs from New", ck, span, round)
+				}
+			}
+		}
 	}
 }

@@ -78,15 +78,14 @@ func NewCeaser(p CeaserParams) *CeaserSlice {
 	s := &CeaserSlice{
 		sets:       p.TDSets,
 		mask:       uint64(p.TDSets - 1),
-		rng:        rng.New(p.Seed ^ 0xCEA5E4),
 		rekeyEvery: p.RekeyEvery,
 		remapStep:  max(1, p.TDSets/64),
 	}
-	s.keyCur = s.rng.Uint64()
-	s.keyNext = s.rng.Uint64()
+	s.rewind(p.Seed)
 	// The index closure reads the live key state, so the one inner slice
-	// built here follows every pointer advance and epoch roll — entries are
-	// relocated physically by Housekeep, never rebuilt wholesale.
+	// built here follows every pointer advance, epoch roll and Reset —
+	// entries are relocated physically by Housekeep, never rebuilt
+	// wholesale.
 	idx := cachesim.FuncIndex(func(l addr.Line) int {
 		h := mixLine(s.keyCur, l, s.mask)
 		if h < s.ptr {
@@ -102,6 +101,24 @@ func NewCeaser(p CeaserParams) *CeaserSlice {
 		Seed:         p.Seed,
 	})
 	return s
+}
+
+// rewind seeds the key generator, draws both epoch keys and rewinds the remap
+// pointer and cadence.
+func (s *CeaserSlice) rewind(seed int64) {
+	s.rng = rng.New(seed ^ 0xCEA5E4)
+	s.keyCur = s.rng.Uint64()
+	s.keyNext = s.rng.Uint64()
+	s.ptr = 0
+	s.ops = 0
+}
+
+// Reset implements Slice.
+func (s *CeaserSlice) Reset(seed int64) {
+	s.rewind(seed)
+	s.Epochs = 0
+	s.Relocated = 0
+	s.inner.Reset(seed)
 }
 
 // Housekeep implements Housekeeper: at transaction boundaries, advance the

@@ -48,6 +48,13 @@ func NewDLS(p DLSParams) *DLSSlice {
 	return s
 }
 
+// Reset implements Slice.
+func (s *DLSSlice) Reset(seed int64) {
+	s.tags.Reset(seed)
+	s.buf.Reset()
+	s.stat = Stats{}
+}
+
 // Miss implements Slice.
 func (s *DLSSlice) Miss(core int, line addr.Line, write bool) MissResult {
 	s.buf.Reset()

@@ -20,10 +20,12 @@ import (
 // bulk model keeps the same security semantics at a coarser performance
 // granularity.)
 type RandMapSlice struct {
-	inner *BaselineSlice
-	sets  int
-	key   uint64
-	rng   rng.Rand
+	// inner is the live slice, indexed under inner.key. spare is the slice
+	// the next re-key fills (nil until the first one): the two swap roles on
+	// every re-key, so re-keying reuses storage instead of allocating.
+	inner, spare *keyedSlice
+	sets         int
+	rng          rng.Rand
 
 	// rekeyEvery is the number of directory operations between re-keys;
 	// 0 disables re-keying.
@@ -34,6 +36,14 @@ type RandMapSlice struct {
 	Rekeys uint64
 
 	params RandMapParams
+}
+
+// keyedSlice is a baseline slice whose set index is the keyed mix of key,
+// read through the slice on every probe, so pointing it at a new key is a
+// field write.
+type keyedSlice struct {
+	*BaselineSlice
+	key uint64
 }
 
 // Verify interface conformance.
@@ -53,28 +63,18 @@ type RandMapParams struct {
 func NewRandMapped(p RandMapParams) *RandMapSlice {
 	s := &RandMapSlice{
 		sets:       p.TDSets,
-		rng:        rng.New(p.Seed ^ 0x5EC0DE),
 		rekeyEvery: p.RekeyEvery,
 		params:     p,
 	}
-	s.key = s.rng.Uint64()
-	s.inner = s.build()
+	s.inner = s.newKeyed()
+	s.Reset(p.Seed)
 	return s
 }
 
-// keyedIndex is the keyed set-index permutation (an xor-multiply mix — not
-// cryptographic, but the attacker model grants no key access either way).
-// The mix is genuinely data-dependent, so the randomized slice kinds are the
-// ones that keep the FuncIndex closure path.
-func keyedIndex(key uint64, sets int) cachesim.Index {
-	mask := uint64(sets - 1)
-	return cachesim.FuncIndex(func(l addr.Line) int {
-		return mixLine(key, l, mask)
-	})
-}
-
 // mixLine is the keyed xor-multiply set-index mix shared by RandMapSlice and
-// CeaserSlice.
+// CeaserSlice (not cryptographic, but the attacker model grants no key
+// access either way). The mix is genuinely data-dependent, so the randomized
+// slice kinds are the ones that keep the FuncIndex closure path.
 func mixLine(key uint64, l addr.Line, mask uint64) int {
 	v := uint64(l) ^ key
 	v *= 0xff51afd7ed558ccd
@@ -84,15 +84,32 @@ func mixLine(key uint64, l addr.Line, mask uint64) int {
 	return int(v & mask)
 }
 
-// build constructs the inner baseline slice under the current key.
-func (s *RandMapSlice) build() *BaselineSlice {
-	return NewBaseline(BaselineParams{
+// newKeyed allocates an empty inner slice whose index reads its own key.
+func (s *RandMapSlice) newKeyed() *keyedSlice {
+	k := &keyedSlice{}
+	mask := uint64(s.sets - 1)
+	k.BaselineSlice = NewBaseline(BaselineParams{
 		TDSets: s.params.TDSets, TDWays: s.params.TDWays,
 		EDSets: s.params.EDSets, EDWays: s.params.EDWays,
-		Index:        keyedIndex(s.key, s.sets),
+		Index: cachesim.FuncIndex(func(l addr.Line) int {
+			return mixLine(k.key, l, mask)
+		}),
 		AppendixAFix: true, // give the randomized design its best case
 		Seed:         s.params.Seed,
 	})
+	return k
+}
+
+// Reset implements Slice: the key generator is reseeded, the first key drawn
+// and the live inner slice emptied. The spare keeps its stale contents; the
+// next re-key resets it before use.
+func (s *RandMapSlice) Reset(seed int64) {
+	s.params.Seed = seed
+	s.rng = rng.New(seed ^ 0x5EC0DE)
+	s.inner.key = s.rng.Uint64()
+	s.inner.Reset(seed)
+	s.ops = 0
+	s.Rekeys = 0
 }
 
 // Housekeep implements Housekeeper: the engine calls it at transaction
@@ -105,15 +122,18 @@ func (s *RandMapSlice) Housekeep() []Action {
 	}
 	s.ops = 0
 	s.Rekeys++
-	old := s.inner
-	s.key = s.rng.Uint64()
-	fresh := s.build()
-	// Carry the statistics across the swap.
+	if s.spare == nil {
+		s.spare = s.newKeyed()
+	}
+	old, fresh := s.inner, s.spare
+	fresh.key = s.rng.Uint64()
+	// The spare starts from the state a freshly built slice would have,
+	// carrying the statistics across the swap.
+	fresh.Reset(s.params.Seed)
 	fresh.d.Stat = old.d.Stat
 
 	// The fresh slice's buffer accumulates the disposal actions of every
 	// entry that conflicts during the remap.
-	fresh.d.Buf.Reset()
 	old.d.ED.Range(func(l addr.Line, m *Meta) bool {
 		fresh.d.InsertED(l, *m)
 		return true
@@ -122,7 +142,7 @@ func (s *RandMapSlice) Housekeep() []Action {
 		fresh.d.InsertTD(l, *m)
 		return true
 	})
-	s.inner = fresh
+	s.inner, s.spare = fresh, old
 	return fresh.d.Buf.Actions()
 }
 

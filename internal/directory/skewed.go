@@ -2,6 +2,7 @@ package directory
 
 import (
 	"secdir/internal/addr"
+	"secdir/internal/dirtyset"
 	"secdir/internal/hashfn"
 	"secdir/internal/rng"
 )
@@ -27,6 +28,10 @@ type SkewedSlice struct {
 	gf         *hashfn.GFHash
 	arr        []skewEntry // way-major: way w occupies arr[w*sets : (w+1)*sets]
 	rng        rng.Rand
+	// dirty has one bit per slot of arr (each way is direct-mapped, so a
+	// slot is a set) and marks every slot insert has filled since
+	// construction or the last Reset.
+	dirty dirtyset.Bitmap
 
 	// buf is the reusable action accumulator; see ActionBuf for the aliasing
 	// contract the Slice methods inherit.
@@ -54,19 +59,38 @@ type SkewedParams struct {
 // NewSkewed returns an empty skewed directory slice keyed by Seed.
 func NewSkewed(p SkewedParams) *SkewedSlice {
 	s := &SkewedSlice{
-		sets: p.Sets,
-		ways: p.Ways,
-		gf:   hashfn.NewGFHash(p.Sets, p.Ways, p.Seed),
-		arr:  make([]skewEntry, p.Sets*p.Ways),
-		rng:  rng.New(p.Seed ^ 0x5EED5),
+		sets:  p.Sets,
+		ways:  p.Ways,
+		gf:    hashfn.NewGFHash(p.Sets, p.Ways, p.Seed),
+		arr:   make([]skewEntry, p.Sets*p.Ways),
+		rng:   rng.New(skewSeed(p.Seed)),
+		dirty: dirtyset.New(p.Sets * p.Ways),
 	}
 	s.buf.Grow(tdedBufCap)
 	return s
 }
 
+// skewSeed is the conflict generator's seed.
+func skewSeed(seed int64) int64 { return seed ^ 0x5EED5 }
+
+// Reset implements Slice: the GF key schedule is redrawn in place and only
+// the slots filled since the last Reset are cleared.
+func (s *SkewedSlice) Reset(seed int64) {
+	s.gf.Rekey(seed)
+	s.dirty.Drain(func(i int) { s.arr[i] = skewEntry{} })
+	s.rng = rng.New(skewSeed(seed))
+	s.buf.Reset()
+	s.stat = Stats{}
+}
+
+// slotIndex returns the arr index of way w's candidate slot for the line.
+func (s *SkewedSlice) slotIndex(w int, line addr.Line) int {
+	return w*s.sets + s.gf.Index(w, uint64(line))
+}
+
 // slot returns way w's candidate slot for the line.
 func (s *SkewedSlice) slot(w int, line addr.Line) *skewEntry {
-	return &s.arr[w*s.sets+s.gf.Index(w, uint64(line))]
+	return &s.arr[s.slotIndex(w, line)]
 }
 
 // find returns the entry holding the line, or nil.
@@ -86,8 +110,9 @@ func (s *SkewedSlice) find(line addr.Line) *skewEntry {
 // sets are keyed, an attacker cannot choose whose entries those are.
 func (s *SkewedSlice) insert(line addr.Line, m Meta) {
 	for w := 0; w < s.ways; w++ {
-		if e := s.slot(w, line); !e.valid {
-			*e = skewEntry{line: line, valid: true, meta: m}
+		if i := s.slotIndex(w, line); !s.arr[i].valid {
+			s.arr[i] = skewEntry{line: line, valid: true, meta: m}
+			s.dirty.Mark(i)
 			return
 		}
 	}

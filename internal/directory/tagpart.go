@@ -59,10 +59,22 @@ func NewTagPartitioned(p TagPartParams) (*TagPartSlice, error) {
 	}
 	s := &TagPartSlice{cores: p.Cores}
 	for c := 0; c < p.Cores; c++ {
-		s.parts = append(s.parts, cachesim.New[struct{}](p.Sets, waysPer, p.Index, cachesim.LRU, p.Seed+int64(c)*13))
+		s.parts = append(s.parts, cachesim.New[struct{}](p.Sets, waysPer, p.Index, cachesim.LRU, partSeed(p.Seed, c)))
 	}
 	s.buf.Grow(tdedBufCap)
 	return s, nil
+}
+
+// partSeed is core c's partition seed.
+func partSeed(seed int64, c int) int64 { return seed + int64(c)*13 }
+
+// Reset implements Slice.
+func (s *TagPartSlice) Reset(seed int64) {
+	for c, p := range s.parts {
+		p.Reset(partSeed(seed, c))
+	}
+	s.buf.Reset()
+	s.stat = Stats{}
 }
 
 // sharers returns the set of cores whose partitions track the line.

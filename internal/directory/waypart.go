@@ -5,6 +5,7 @@ import (
 
 	"secdir/internal/addr"
 	"secdir/internal/cachesim"
+	"secdir/internal/dirtyset"
 	"secdir/internal/rng"
 )
 
@@ -61,6 +62,15 @@ func NewWayPartitioned(p WayPartParams) (*WayPartSlice, error) {
 	return s, nil
 }
 
+// Reset implements Slice: the ED and TD are reseeded as construction seeds
+// them (seed, seed+1).
+func (s *WayPartSlice) Reset(seed int64) {
+	s.ed.reset(seed)
+	s.td.reset(seed + 1)
+	s.buf.Reset()
+	s.stat = Stats{}
+}
+
 // partEntry is one way of a partitioned table.
 type partEntry struct {
 	line  addr.Line
@@ -78,6 +88,9 @@ type partTable struct {
 	// wayLo[c]..wayHi[c] is core c's way range (remainder ways distributed
 	// to the low-numbered cores).
 	wayLo, wayHi []int
+	// dirty marks every set insert has filled an empty way of since
+	// construction or the last reset.
+	dirty dirtyset.Bitmap
 }
 
 func newPartTable(sets, ways, cores int, index cachesim.Index, seed int64) *partTable {
@@ -88,6 +101,7 @@ func newPartTable(sets, ways, cores int, index cachesim.Index, seed int64) *part
 		arr:   make([]partEntry, sets*ways),
 		wayLo: make([]int, cores),
 		wayHi: make([]int, cores),
+		dirty: dirtyset.New(sets),
 	}
 	base, extra := ways/cores, ways%cores
 	w := 0
@@ -104,6 +118,13 @@ func newPartTable(sets, ways, cores int, index cachesim.Index, seed int64) *part
 
 func (t *partTable) set(i int) []partEntry { return t.arr[i*t.ways : (i+1)*t.ways] }
 
+// reset empties the table and reseeds its generator as newPartTable does,
+// clearing only the sets insert has filled since the last reset.
+func (t *partTable) reset(seed int64) {
+	t.dirty.Drain(func(set int) { clear(t.set(set)) })
+	t.rng = rng.New(seed)
+}
+
 // find scans every way of the line's set (look-ups are not partitioned).
 func (t *partTable) find(l addr.Line) *partEntry {
 	s := t.set(t.index.Of(l))
@@ -118,11 +139,13 @@ func (t *partTable) find(l addr.Line) *partEntry {
 // insert places the entry into core's way range, evicting a random resident
 // entry of the same range if it is full.
 func (t *partTable) insert(core int, l addr.Line, m Meta) (victim addr.Line, vm Meta, evicted bool) {
-	s := t.set(t.index.Of(l))
+	set := t.index.Of(l)
+	s := t.set(set)
 	lo, hi := t.wayLo[core], t.wayHi[core]
 	for i := lo; i < hi; i++ {
 		if !s[i].valid {
 			s[i] = partEntry{line: l, valid: true, meta: m}
+			t.dirty.Mark(set)
 			return 0, Meta{}, false
 		}
 	}

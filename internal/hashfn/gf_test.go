@@ -1,6 +1,7 @@
 package hashfn
 
 import (
+	"bytes"
 	"math/rand"
 	"testing"
 )
@@ -225,4 +226,41 @@ func FuzzGFHash(f *testing.F) {
 				g.Fold(a), g.Fold(b), ia, ib)
 		}
 	})
+}
+
+// refTables builds way w's lookup tables entry by entry with Mul — the
+// definition the linear fill in Rekey must reproduce.
+func refTables(g *GFHash, w int) (lo, hi [256]uint16) {
+	mask := uint32(g.Sets() - 1)
+	for b := uint32(0); b < 256; b++ {
+		lo[b] = uint16(g.Mul(g.alpha[w], b&mask)) ^ uint16(g.beta[w])
+		hi[b] = uint16(g.Mul(g.alpha[w], (b<<8)&mask))
+	}
+	return lo, hi
+}
+
+// TestGFHashRekey checks that Rekey(seed) on a family built from another
+// seed leaves it byte-equal to NewGFHash(sets, ways, seed), that every table
+// entry matches its definition, and that Rekey allocates nothing.
+func TestGFHashRekey(t *testing.T) {
+	for _, c := range []struct {
+		sets, ways int
+		seed       int64
+	}{{1, 3, 4}, {2, 2, 9}, {16, 5, 1}, {256, 4, 77}, {2048, 23, 5}, {4096, 8, -3}, {1 << 16, 2, 1 << 40}} {
+		g := NewGFHash(c.sets, c.ways, c.seed+1)
+		g.Rekey(c.seed)
+		want := NewGFHash(c.sets, c.ways, c.seed)
+		if !bytes.Equal(g.AppendState(nil), want.AppendState(nil)) {
+			t.Fatalf("%+v: Rekey differs from NewGFHash", c)
+		}
+		for w := 0; w < c.ways; w++ {
+			lo, hi := refTables(g, w)
+			if g.tabLo[w] != lo || g.tabHi[w] != hi {
+				t.Fatalf("%+v: way %d tables differ from α·b ⊕ β", c, w)
+			}
+		}
+		if allocs := testing.AllocsPerRun(5, func() { g.Rekey(c.seed) }); allocs != 0 {
+			t.Fatalf("%+v: Rekey allocates %v times", c, allocs)
+		}
+	}
 }
