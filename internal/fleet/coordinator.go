@@ -239,15 +239,42 @@ const (
 	taskDone
 )
 
-// task is one shard of one cell as the scheduler tracks it.
+// sweep is one distributed run of a leakage.Plan: the results its accepted
+// shards have delivered and its per-cell progress.
+type sweep struct {
+	plan   *leakage.Plan
+	res    leakage.Results // trials appended per cell as shards land; one probe per config
+	done   []int           // per cell: trials completed
+	offset []int           // per cell: progress offset within the sweep
+	total  int             // trials in the sweep
+}
+
+// task is one unit of a sweep's plan as the scheduler tracks it.
 type task struct {
 	id        int
-	cell      *cell
+	unit      leakage.Unit
 	req       ShardRequest
 	state     taskState
 	attempts  int       // genuine-failure attempts charged against MaxAttempts
 	notBefore time.Time // backoff gate for the next dispatch
 	assigns   map[*assign]struct{}
+}
+
+// cell is the task's provenance cell: its "config/strategy" stage label, or
+// a probe's configuration name.
+func (t *task) cell() string {
+	if t.req.Perf {
+		return t.req.Config
+	}
+	return t.req.Config + "/" + t.req.Strategy
+}
+
+// label names the task's unit in errors.
+func (t *task) label() string {
+	if t.req.Perf {
+		return t.req.Config + " perf probe"
+	}
+	return fmt.Sprintf("%s trials [%d,%d)", t.cell(), t.req.Start, t.req.Start+t.req.Count)
 }
 
 // assign is one live (task, worker) dispatch.
@@ -263,7 +290,7 @@ type assign struct {
 // shardResult is what a dispatch goroutine reports back to the scheduler.
 type shardResult struct {
 	a      *assign
-	trials []leakage.TrialResult
+	out    shardOut
 	err    error
 	millis int64
 }
@@ -276,128 +303,86 @@ type shardResult struct {
 // convention.
 func (c *Coordinator) RunLeak(ctx context.Context, spec SweepSpec, progress func(stage string, done, total int)) (*leakage.Report, []ShardProvenance, error) {
 	spec.Kind = SweepLeak
-	cells, base, err := c.begin(spec)
+	sw, prov, err := c.run(ctx, spec, progress)
 	if err != nil {
 		return nil, nil, err
 	}
-	defer c.runs.Done()
-	prov, err := c.runShards(ctx, cells, progress)
+	rep, err := sw.plan.Report(&sw.res)
 	if err != nil {
 		return nil, nil, err
-	}
-	rep := &leakage.Report{
-		Trials:     base.Trials,
-		Rounds:     base.Rounds,
-		Seed:       base.Seed,
-		Confidence: base.Confidence,
-	}
-	for _, cl := range cells {
-		v, err := leakage.MergeVerdict(cl.opts, cl.results)
-		if err != nil {
-			return nil, nil, fmt.Errorf("fleet: %s: %w", cl.stageLabel(), err)
-		}
-		rep.Verdicts = append(rep.Verdicts, v)
 	}
 	return rep, prov, nil
 }
 
-// RunLeaderboard executes a distributed cross-defense race: verdicts merge
-// from remote shards; the deterministic performance probe and Table 7 cost
-// columns are computed locally. The result is bit-identical to
+// RunLeaderboard executes a distributed cross-defense race: every trial
+// range and every defense's performance probe runs on a worker, and the
+// coordinator only merges. The result is bit-identical to
 // leakage.RunLeaderboard of the same spec; the second return value is the
 // per-shard merge provenance, as in RunLeak.
 func (c *Coordinator) RunLeaderboard(ctx context.Context, spec SweepSpec, progress func(stage string, done, total int)) (*leakage.Leaderboard, []ShardProvenance, error) {
 	spec.Kind = SweepLeaderboard
-	cells, base, err := c.begin(spec)
+	sw, prov, err := c.run(ctx, spec, progress)
 	if err != nil {
 		return nil, nil, err
 	}
-	defer c.runs.Done()
-	prov, err := c.runShards(ctx, cells, progress)
+	lb, err := sw.plan.Leaderboard(&sw.res)
 	if err != nil {
 		return nil, nil, err
-	}
-	cores := spec.Cores
-	if cores <= 0 {
-		cores = 8
-	}
-	lb := &leakage.Leaderboard{Trials: base.Trials, Rounds: base.Rounds, Seed: base.Seed}
-	var curName string
-	var ns, kb, mm2 float64
-	for _, cl := range cells {
-		if cl.name != curName {
-			curName = cl.name
-			ns, kb, mm2, err = leakage.PerfCost(cl.name, cores, spec.PerfAccesses)
-			if err != nil {
-				return nil, nil, err
-			}
-		}
-		v, err := leakage.MergeVerdict(cl.opts, cl.results)
-		if err != nil {
-			return nil, nil, fmt.Errorf("fleet: %s: %w", cl.stageLabel(), err)
-		}
-		lb.Rows = append(lb.Rows, leakage.LeaderboardRow{
-			Verdict:     v,
-			SimNsAccess: ns,
-			StorageKB:   kb,
-			AreaMM2:     mm2,
-		})
 	}
 	return lb, prov, nil
 }
 
-// begin validates sweep admission (not draining, at least one worker) and
-// plans the cells.
-func (c *Coordinator) begin(spec SweepSpec) ([]*cell, leakage.Options, error) {
+// run admits a sweep (not draining, at least one worker), plans it into
+// ShardTrials-sized units and drives them to completion across the fleet.
+func (c *Coordinator) run(ctx context.Context, spec SweepSpec, progress func(stage string, done, total int)) (*sweep, []ShardProvenance, error) {
 	c.mu.Lock()
 	if c.draining {
 		c.mu.Unlock()
-		return nil, leakage.Options{}, fmt.Errorf("fleet: coordinator is draining; not accepting sweeps")
+		return nil, nil, fmt.Errorf("fleet: coordinator is draining; not accepting sweeps")
 	}
 	if len(c.workers) == 0 {
 		c.mu.Unlock()
-		return nil, leakage.Options{}, fmt.Errorf("fleet: no workers (configure -fleet-workers or register some)")
+		return nil, nil, fmt.Errorf("fleet: no workers (configure -fleet-workers or register some)")
 	}
 	c.runs.Add(1)
 	c.mu.Unlock()
-	cells, base, err := planCells(spec)
+	defer c.runs.Done()
+	p, err := spec.plan(c.cfg.ShardTrials)
 	if err != nil {
-		c.runs.Done()
-		return nil, base, err
+		return nil, nil, err
 	}
-	return cells, base, nil
+	sw := &sweep{
+		plan:   p,
+		res:    leakage.Results{Trials: make([][]leakage.TrialResult, len(p.Cells)), Perf: make([]leakage.PerfResult, len(p.Configs))},
+		done:   make([]int, len(p.Cells)),
+		offset: make([]int, len(p.Cells)),
+	}
+	for i, cl := range p.Cells {
+		sw.res.Trials[i] = make([]leakage.TrialResult, 0, cl.Count)
+		sw.offset[i] = sw.total
+		sw.total += cl.Count
+	}
+	prov, err := c.runShards(ctx, sw, progress)
+	if err != nil {
+		return nil, nil, err
+	}
+	return sw, prov, nil
 }
 
-// runShards is the sweep scheduler: it decomposes every cell into
-// ShardTrials-sized tasks and drives them all to completion across the
-// fleet, retrying failures with exponential backoff, re-enqueueing shards
+// runShards is the sweep scheduler: it turns every unit of the sweep's plan
+// into a task and drives them all to completion across the fleet, in plan
+// order, retrying failures with exponential backoff, re-enqueueing shards
 // from dead workers, and duplicating stragglers' shards onto idle workers.
 // On success it returns one ShardProvenance per task, sorted by (cell, start)
 // so the listing is deterministic regardless of completion order.
-func (c *Coordinator) runShards(ctx context.Context, cells []*cell, progress func(stage string, done, total int)) ([]ShardProvenance, error) {
-	var tasks []*task
-	total := 0
-	for _, cl := range cells {
-		total += cl.opts.Trials
-		for start := 0; start < cl.opts.Trials; start += c.cfg.ShardTrials {
-			count := min(c.cfg.ShardTrials, cl.opts.Trials-start)
-			tasks = append(tasks, &task{
-				id:   len(tasks),
-				cell: cl,
-				req: ShardRequest{
-					Config:        cl.name,
-					Strategy:      cl.strategy,
-					Cores:         cl.opts.Config.Cores,
-					Trials:        cl.opts.Trials,
-					Rounds:        cl.opts.Rounds,
-					EvictionLines: cl.opts.EvictionLines,
-					Seed:          cl.opts.Seed,
-					Start:         start,
-					Count:         count,
-					Workers:       c.cfg.LocalWorkers,
-				},
-				assigns: map[*assign]struct{}{},
-			})
+func (c *Coordinator) runShards(ctx context.Context, sw *sweep, progress func(stage string, done, total int)) ([]ShardProvenance, error) {
+	tasks := make([]*task, len(sw.plan.Units))
+	for i, u := range sw.plan.Units {
+		tasks[i] = &task{
+			id:      i,
+			unit:    u,
+			req:     shardRequest(sw.plan, u, c.cfg.LocalWorkers),
+			assigns: map[*assign]struct{}{},
 		}
 	}
 
@@ -414,7 +399,7 @@ func (c *Coordinator) runShards(ctx context.Context, cells []*cell, progress fun
 		select {
 		case r := <-resc:
 			outstanding--
-			c.settle(r, &remaining, &failErr, progress, total, &prov)
+			c.settle(r, sw, &remaining, &failErr, progress, &prov)
 		case <-c.clock.After(wake):
 			// Wake to re-check backoff gates, liveness and steal aging.
 		case <-ctx.Done():
@@ -435,7 +420,7 @@ func (c *Coordinator) runShards(ctx context.Context, cells []*cell, progress fun
 	for outstanding > 0 {
 		r := <-resc
 		outstanding--
-		c.settle(r, &remaining, &failErr, nil, total, &prov)
+		c.settle(r, sw, &remaining, &failErr, nil, &prov)
 	}
 	if failErr != nil {
 		return nil, failErr
@@ -552,16 +537,16 @@ func (c *Coordinator) spawn(ctx context.Context, t *task, w *worker, charged boo
 	c.dispatched.Inc()
 	wall := time.Now()
 	go func() {
-		trials, err := c.executeShard(actx, w, t.req)
+		out, err := c.executeShard(actx, w, t.req)
 		cancel()
-		resc <- shardResult{a: a, trials: trials, err: err, millis: time.Since(wall).Milliseconds()}
+		resc <- shardResult{a: a, out: out, err: err, millis: time.Since(wall).Milliseconds()}
 	}()
 }
 
 // settle folds one dispatch outcome back into the scheduler state, appending
 // to prov when it accepts a shard's result. progress is nil during teardown
 // drains.
-func (c *Coordinator) settle(r shardResult, remaining *int, failErr *error, progress func(stage string, done, total int), total int, prov *[]ShardProvenance) {
+func (c *Coordinator) settle(r shardResult, sw *sweep, remaining *int, failErr *error, progress func(stage string, done, total int), prov *[]ShardProvenance) {
 	c.mu.Lock()
 	a, t := r.a, r.a.t
 	delete(t.assigns, a)
@@ -582,23 +567,30 @@ func (c *Coordinator) settle(r shardResult, remaining *int, failErr *error, prog
 		*remaining--
 		a.w.done++
 		*prov = append(*prov, ShardProvenance{
-			Cell:     t.cell.stageLabel(),
+			Cell:     t.cell(),
+			Perf:     t.req.Perf,
 			Start:    t.req.Start,
 			Count:    t.req.Count,
 			Worker:   a.w.url,
 			Attempts: t.attempts,
 			Millis:   r.millis,
 		})
-		t.cell.results = append(t.cell.results, r.trials...)
-		t.cell.done += len(r.trials)
-		stage, done, offset := t.cell.stageLabel(), t.cell.done, t.cell.offset
 		for other := range t.assigns {
 			other.requeue = true
 			other.cancel()
 		}
+		u := t.unit
+		if u.Perf() {
+			sw.res.Perf[u.Config] = *r.out.perf
+			c.mu.Unlock()
+			return
+		}
+		sw.res.Trials[u.Cell] = append(sw.res.Trials[u.Cell], r.out.trials...)
+		sw.done[u.Cell] += len(r.out.trials)
+		stage, done := t.cell(), sw.offset[u.Cell]+sw.done[u.Cell]
 		c.mu.Unlock()
 		if progress != nil {
-			progress(stage, offset+done, total)
+			progress(stage, done, sw.total)
 		}
 		return
 	}
@@ -646,8 +638,7 @@ func (c *Coordinator) settle(r shardResult, remaining *int, failErr *error, prog
 	}
 	if t.attempts >= c.cfg.MaxAttempts {
 		if *failErr == nil {
-			*failErr = fmt.Errorf("fleet: shard %s trials [%d,%d): %d attempts exhausted: %w",
-				t.cell.stageLabel(), t.req.Start, t.req.Start+t.req.Count, t.attempts, r.err)
+			*failErr = fmt.Errorf("fleet: shard %s: %d attempts exhausted: %w", t.label(), t.attempts, r.err)
 		}
 		c.mu.Unlock()
 		return

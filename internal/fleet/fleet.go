@@ -1,11 +1,13 @@
 // Package fleet scales the leakage lab from one process to a coordinator and
 // N secdir-serve workers. A leak or leaderboard sweep is embarrassingly
-// parallel — (config × strategy × trial) — and the lab's trials are seeded
-// from (master seed, trial index) alone, so the coordinator can decompose a
-// sweep into contiguous per-trial-range shards, dispatch them to any set of
-// workers over the existing HTTP/JSON + NDJSON protocol, and merge the
-// per-trial streams back into a verdict bit-identical to a single-process
-// run (leakage.RunShard / leakage.MergeVerdict are the two hooks).
+// parallel — (config × strategy × trial), plus one performance probe per
+// leaderboard defense — and the lab's trials are seeded from (master seed,
+// trial index) alone, so the coordinator expands a sweep into the same
+// leakage.Plan a local run executes, dispatches its units (contiguous trial
+// ranges and probes) to any set of workers over the existing HTTP/JSON +
+// NDJSON protocol, and merges the streams back through Plan.Report or
+// Plan.Leaderboard into a result bit-identical to a single-process run. The
+// coordinator itself runs no simulation.
 //
 // Robustness is the point of the package:
 //
@@ -37,7 +39,8 @@ type Config struct {
 	// start-up. More workers can join at runtime via Register (the
 	// /fleet/register endpoint).
 	Workers []string
-	// ShardTrials is the trial count per dispatched shard (default 25).
+	// ShardTrials is the trial count per dispatched trial shard (default
+	// 25); a probe is always one shard.
 	// Smaller shards ride out worker loss more cheaply; larger shards
 	// amortize HTTP overhead.
 	ShardTrials int

@@ -5,7 +5,6 @@ package fleet_test
 
 import (
 	"context"
-	"encoding/json"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -15,9 +14,11 @@ import (
 	"testing"
 	"time"
 
+	"secdir/internal/config"
 	"secdir/internal/fleet"
 	"secdir/internal/leakage"
 	"secdir/internal/metrics"
+	"secdir/internal/server"
 )
 
 // fakeClock implements fleet.Clock: time only moves when advanced, so
@@ -109,8 +110,9 @@ func autoAdvance(t *testing.T, c *fakeClock) {
 }
 
 // stubWorker is a minimal fleet worker: /healthz always OK, /fleet/shard
-// either runs the shard for real (via leakage.RunShard), fails with an
-// injected 500, or blocks until the coordinator abandons the request.
+// either runs the shard for real (on a secdir-serve server's own shard
+// handler), fails with an injected 500, or blocks until the coordinator
+// abandons the request.
 type stubWorker struct {
 	ts *httptest.Server
 
@@ -131,6 +133,17 @@ type stubWorker struct {
 func newStubWorker(t *testing.T, fail func(n int) bool, block bool) *stubWorker {
 	t.Helper()
 	st := &stubWorker{fail: fail, block: block, stop: make(chan struct{})}
+	cfg := config.DefaultServerConfig()
+	cfg.Workers = 2
+	srv, err := server.New(cfg, metrics.New())
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+		defer cancel()
+		_, _ = srv.Drain(ctx)
+	})
 	mux := http.NewServeMux()
 	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) {
 		w.WriteHeader(http.StatusOK)
@@ -156,29 +169,7 @@ func newStubWorker(t *testing.T, fail func(n int) bool, block bool) *stubWorker 
 			http.Error(w, "all 1 shard slots busy; retry later", http.StatusTooManyRequests)
 			return
 		}
-		var req fleet.ShardRequest
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-			http.Error(w, err.Error(), http.StatusBadRequest)
-			return
-		}
-		opts, err := req.Options()
-		if err != nil {
-			http.Error(w, err.Error(), http.StatusBadRequest)
-			return
-		}
-		w.Header().Set("Content-Type", "application/x-ndjson")
-		enc := json.NewEncoder(w)
-		count := 0
-		_, err = leakage.RunShard(r.Context(), opts, req.Start, req.Count, func(tr leakage.TrialResult) {
-			line := tr
-			_ = enc.Encode(fleet.ShardLine{Trial: &line})
-			count++
-		})
-		if err != nil {
-			_ = enc.Encode(fleet.ShardLine{Err: err.Error()})
-			return
-		}
-		_ = enc.Encode(fleet.ShardLine{EOF: true, Count: count})
+		srv.ServeHTTP(w, r)
 	})
 	st.ts = httptest.NewServer(mux)
 	t.Cleanup(st.ts.Close)
@@ -410,5 +401,78 @@ func TestWorkStealingRebalance(t *testing.T) {
 	// as a merged duplicate.
 	if got := reg.Counter("fleet/shards_dispatched").Value(); got != 3 {
 		t.Errorf("fleet/shards_dispatched = %d, want 3", got)
+	}
+}
+
+// TestLeaderboardProbesRunOnWorkers races a small leaderboard across two
+// stub workers with a flaky first request: every probe and trial range is a
+// dispatched shard, the coordinator only merges, and the result equals the
+// local race bit for bit.
+func TestLeaderboardProbesRunOnWorkers(t *testing.T) {
+	fc := newFakeClock()
+	autoAdvance(t, fc)
+	flaky := newStubWorker(t, func(n int) bool { return n == 1 }, false)
+	steady := newStubWorker(t, nil, false)
+
+	reg := metrics.New()
+	c := newCoordinator(t, fleet.Config{
+		Workers:           []string{flaky.ts.URL, steady.ts.URL},
+		ShardTrials:       5,
+		BackoffBase:       5 * time.Millisecond,
+		HeartbeatInterval: 100 * time.Millisecond,
+		HeartbeatMiss:     100_000,
+		StealAfter:        time.Hour,
+		Clock:             fc,
+		Metrics:           reg,
+	})
+
+	spec := fleet.SweepSpec{
+		Configs:      []string{"skylake-unfixed", "secdir"},
+		Strategies:   []string{"primeprobe", "evictreload"},
+		Trials:       10, // 2 shards of 5 per cell, 8 in all, plus 2 probes
+		Rounds:       8,
+		Seed:         3,
+		PerfAccesses: 5_000,
+	}
+	lb, prov, err := c.RunLeaderboard(context.Background(), spec, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	strategies, err := leakage.ParseStrategyList(strings.Join(spec.Strategies, ","))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := leakage.RunLeaderboard(context.Background(), leakage.LeaderboardOptions{
+		Configs:      spec.Configs,
+		Strategies:   strategies,
+		Trials:       spec.Trials,
+		Rounds:       spec.Rounds,
+		Seed:         spec.Seed,
+		PerfAccesses: spec.PerfAccesses,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(lb, want) {
+		t.Errorf("fleet leaderboard diverges from local run:\nfleet: %+v\nlocal: %+v", lb.Rows, want.Rows)
+	}
+
+	var probes []string
+	for _, p := range prov {
+		if p.Perf {
+			probes = append(probes, p.Cell)
+			if p.Worker == "" || p.Count != 0 {
+				t.Errorf("probe provenance %+v: want a worker and no trials", p)
+			}
+		}
+	}
+	if !reflect.DeepEqual(probes, []string{"secdir", "skylake-unfixed"}) {
+		t.Errorf("probe provenance cells %v, want one per defense", probes)
+	}
+	if got := len(prov); got != 10 {
+		t.Errorf("%d provenance entries, want 10 (8 trial shards + 2 probes)", got)
+	}
+	if got := flaky.requests() + steady.requests(); got != 11 {
+		t.Errorf("workers served %d shard requests, want 11 (10 units + 1 injected failure)", got)
 	}
 }

@@ -1,7 +1,6 @@
 package fleet
 
 import (
-	"fmt"
 	"strings"
 
 	"secdir/internal/leakage"
@@ -14,7 +13,7 @@ const (
 	// SweepLeak merges into a leakage.Report (the configs×strategies grid).
 	SweepLeak SweepKind = "leak"
 	// SweepLeaderboard merges into a leakage.Leaderboard (verdicts joined
-	// with the coordinator-computed performance and cost columns).
+	// with the worker-computed performance and cost columns).
 	SweepLeaderboard SweepKind = "leaderboard"
 )
 
@@ -50,10 +49,47 @@ type SweepSpec struct {
 	PerfAccesses int
 }
 
-// ShardRequest is the body of POST /fleet/shard: one contiguous trial range
-// of one (config, strategy) cell. Every sampling parameter arrives
-// normalized by the coordinator, so worker-side defaulting cannot diverge
-// from the merge's.
+// plan expands the sweep into its leakage.Plan, trial units of at most
+// chunk trials each.
+func (s SweepSpec) plan(chunk int) (*leakage.Plan, error) {
+	strategies := make([]leakage.Strategy, 0, len(s.Strategies))
+	for _, name := range s.Strategies {
+		st, err := leakage.ParseStrategy(name)
+		if err != nil {
+			return nil, err
+		}
+		strategies = append(strategies, st)
+	}
+	if s.Kind == SweepLeaderboard {
+		return leakage.PlanLeaderboard(leakage.LeaderboardOptions{
+			Configs:       s.Configs,
+			Strategies:    strategies,
+			Cores:         s.Cores,
+			Trials:        s.Trials,
+			Rounds:        s.Rounds,
+			EvictionLines: s.EvictionLines,
+			Seed:          s.Seed,
+			PerfAccesses:  s.PerfAccesses,
+		}, chunk)
+	}
+	return leakage.PlanReport(leakage.ReportOptions{
+		Configs:       s.Configs,
+		Strategies:    strategies,
+		Cores:         s.Cores,
+		Trials:        s.Trials,
+		Rounds:        s.Rounds,
+		EvictionLines: s.EvictionLines,
+		Seed:          s.Seed,
+		Confidence:    s.Confidence,
+		Resamples:     s.Resamples,
+	}, chunk)
+}
+
+// ShardRequest is the body of POST /fleet/shard: one unit of a sweep's
+// leakage.Plan — a contiguous trial range of one (config, strategy) cell,
+// or, with Perf set, one configuration's performance probe. Every sampling
+// parameter arrives normalized by the coordinator, so worker-side
+// defaulting cannot diverge from the merge's.
 type ShardRequest struct {
 	// Config names the configuration under test (leakage.ParseConfig).
 	Config string `json:"config"`
@@ -78,6 +114,33 @@ type ShardRequest struct {
 	// Workers bounds the executing worker's local trial fan-out
 	// (0 = its GOMAXPROCS).
 	Workers int `json:"workers,omitempty"`
+	// Perf asks for the configuration's performance probe instead of
+	// trials; only Config, Cores and PerfAccesses apply.
+	Perf bool `json:"perf,omitempty"`
+	// PerfAccesses is the probe's measured-loop length (0 = default, at
+	// most leakage.MaxPerfAccesses).
+	PerfAccesses int `json:"perf_accesses,omitempty"`
+}
+
+// shardRequest is the wire form of unit u of plan p.
+func shardRequest(p *leakage.Plan, u leakage.Unit, localWorkers int) ShardRequest {
+	pc := p.Configs[u.Config]
+	if u.Perf() {
+		return ShardRequest{Config: pc.Name, Cores: pc.Config.Cores, Perf: true, PerfAccesses: p.PerfAccesses}
+	}
+	o := p.Cells[u.Cell].Opts
+	return ShardRequest{
+		Config:        pc.Name,
+		Strategy:      o.Strategy.Name(),
+		Cores:         pc.Config.Cores,
+		Trials:        o.Trials,
+		Rounds:        o.Rounds,
+		EvictionLines: o.EvictionLines,
+		Seed:          o.Seed,
+		Start:         u.Start,
+		Count:         u.Count,
+		Workers:       localWorkers,
+	}
 }
 
 // Options builds the leakage Options the request describes, validated and
@@ -107,12 +170,27 @@ func (r ShardRequest) Options() (leakage.Options, error) {
 	return o.Normalized(), nil
 }
 
+// Plan builds the one-unit leakage.Plan the request describes, validated:
+// the probe's plan for a perf request, the trial range's otherwise.
+func (r ShardRequest) Plan() (*leakage.Plan, error) {
+	if r.Perf {
+		return leakage.PlanPerf(r.Config, r.Cores, r.PerfAccesses)
+	}
+	o, err := r.Options()
+	if err != nil {
+		return nil, err
+	}
+	return leakage.PlanShard(o, r.Start, r.Count)
+}
+
 // ShardLine is one NDJSON line of a shard response stream: a trial result,
-// a fatal error, or the terminal EOF marker whose Count lets the coordinator
-// detect a truncated stream (a worker killed mid-shard).
+// a probe result, a fatal error, or the terminal EOF marker whose Count lets
+// the coordinator detect a truncated stream (a worker killed mid-shard).
 type ShardLine struct {
 	// Trial is one completed trial, in completion order.
 	Trial *leakage.TrialResult `json:"trial,omitempty"`
+	// Perf is a perf request's one probe result.
+	Perf *leakage.PerfResult `json:"perf,omitempty"`
 	// Err aborts the stream with a worker-side failure.
 	Err string `json:"error,omitempty"`
 	// EOF marks a complete stream; Count must equal the trials streamed.
@@ -142,8 +220,11 @@ type RegisterResponse struct {
 // the merged result, so callers (the server's run ledger) can record exactly
 // how a distributed result was assembled and by whom.
 type ShardProvenance struct {
-	// Cell is the shard's (config, strategy) stage label, "config/strategy".
+	// Cell is the shard's (config, strategy) stage label, "config/strategy",
+	// or a probe's configuration name.
 	Cell string `json:"cell"`
+	// Perf marks a performance probe.
+	Perf bool `json:"perf,omitempty"`
 	// Start and Count delimit the shard's trial index range
 	// [Start, Start+Count) within the cell.
 	Start int `json:"start"`
@@ -159,98 +240,6 @@ type ShardProvenance struct {
 	// Millis is the accepted dispatch's wall-clock duration.
 	Millis int64 `json:"millis"`
 }
-
-// cell is one (config, strategy) grid cell of a sweep: its normalized
-// options, its shard plan, and the trial results accumulated by the
-// scheduler.
-type cell struct {
-	name     string
-	strategy string
-	opts     leakage.Options // normalized; Strategy and Config resolved
-	results  []leakage.TrialResult
-	done     int // trials completed, for progress reporting
-	offset   int // progress offset of the cell within the sweep
-}
-
-// planCells expands a sweep spec into its cells in row-major
-// (config, strategy) order — the exact order RunReport and RunLeaderboard
-// emit verdicts in — with every cell's Options normalized from one shared
-// base so the merge parameters match a single-process run.
-func planCells(spec SweepSpec) ([]*cell, leakage.Options, error) {
-	configs := spec.Configs
-	strategies := spec.Strategies
-	if spec.Kind == SweepLeaderboard {
-		if len(configs) == 0 {
-			configs = append([]string(nil), leakage.LeaderboardNames...)
-		}
-		if len(strategies) == 0 {
-			strategies = append([]string(nil), leakage.LeaderboardStrategies...)
-		}
-	} else {
-		if len(configs) == 0 {
-			configs = append([]string(nil), leakage.ConfigNames...)
-		}
-		if len(strategies) == 0 {
-			strategies = leakage.StrategyNames(leakage.DefaultSuite())
-		}
-	}
-	cores := spec.Cores
-	if cores <= 0 {
-		cores = 8
-	}
-
-	base := leakage.Options{
-		Trials:        spec.Trials,
-		Rounds:        spec.Rounds,
-		EvictionLines: spec.EvictionLines,
-		Seed:          spec.Seed,
-	}
-	if spec.Kind != SweepLeaderboard {
-		// RunLeaderboard's verdicts always use the default bootstrap
-		// parameters; leak reports honor the caller's.
-		base.Confidence = spec.Confidence
-		base.Resamples = spec.Resamples
-	}
-	if err := base.Validate(); err != nil {
-		return nil, base, err
-	}
-	base = base.Normalized()
-
-	var cells []*cell
-	offset := 0
-	for _, name := range configs {
-		cfg, err := leakage.ParseConfig(name, cores)
-		if err != nil {
-			return nil, base, err
-		}
-		for _, sname := range strategies {
-			strat, err := leakage.ParseStrategy(sname)
-			if err != nil {
-				return nil, base, err
-			}
-			opts := base
-			opts.Config = cfg
-			opts.ConfigName = name
-			opts.Strategy = strat
-			cells = append(cells, &cell{
-				name:     name,
-				strategy: sname,
-				opts:     opts,
-				results:  make([]leakage.TrialResult, 0, opts.Trials),
-				offset:   offset,
-			})
-			offset += opts.Trials
-		}
-	}
-	if len(cells) == 0 {
-		return nil, base, fmt.Errorf("fleet: sweep has no (config, strategy) cells")
-	}
-	return cells, base, nil
-}
-
-// stageLabel is the progress stage name of a cell, matching the local job
-// runner's "config/strategy" convention.
-func (c *cell) stageLabel() string { return c.name + "/" + c.strategy }
 
 // normalizeWorkerURL canonicalizes a worker base URL for map identity.
 func normalizeWorkerURL(u string) string {

@@ -68,25 +68,32 @@ type WorkerStatus struct {
 	ShardsStolenBy uint64 `json:"shards_stolen_by"`
 }
 
+// shardOut is one accepted shard response: a trial range's results, or a
+// perf request's probe result.
+type shardOut struct {
+	trials []leakage.TrialResult
+	perf   *leakage.PerfResult
+}
+
 // executeShard runs one shard on one worker: POST the request, stream the
 // NDJSON response, and validate completeness against the EOF marker. The
 // context carries the per-attempt ShardTimeout; cancelling it (steal loss,
 // dead-worker reap, sweep teardown) aborts the transfer.
-func (c *Coordinator) executeShard(ctx context.Context, w *worker, req ShardRequest) ([]leakage.TrialResult, error) {
+func (c *Coordinator) executeShard(ctx context.Context, w *worker, req ShardRequest) (shardOut, error) {
 	body, err := json.Marshal(req)
 	if err != nil {
-		return nil, err
+		return shardOut{}, err
 	}
 	ctx, cancel := context.WithTimeout(ctx, c.cfg.ShardTimeout)
 	defer cancel()
 	hreq, err := http.NewRequestWithContext(ctx, http.MethodPost, w.url+"/fleet/shard", bytes.NewReader(body))
 	if err != nil {
-		return nil, err
+		return shardOut{}, err
 	}
 	hreq.Header.Set("Content-Type", "application/json")
 	resp, err := c.client.Do(hreq)
 	if err != nil {
-		return nil, fmt.Errorf("worker %s: %w", w.url, err)
+		return shardOut{}, fmt.Errorf("worker %s: %w", w.url, err)
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
@@ -98,55 +105,68 @@ func (c *Coordinator) executeShard(ctx context.Context, w *worker, req ShardRequ
 			// the scheduler backs off without charging the attempt budget.
 			err = fmt.Errorf("%w: %v", errWorkerBusy, err)
 		}
-		return nil, err
+		return shardOut{}, err
 	}
 
-	out, err := decodeShardStream(resp.Body, req.Count)
+	out, err := decodeShardStream(resp.Body, req.Count, req.Perf)
 	if err != nil {
-		return nil, fmt.Errorf("worker %s: %w", w.url, err)
+		return shardOut{}, fmt.Errorf("worker %s: %w", w.url, err)
 	}
 	return out, nil
 }
 
 // decodeShardStream reads a shard's NDJSON response stream — the one input a
-// coordinator takes from a worker — and returns its trials. A stream is
-// accepted only if it carries exactly count trial lines followed by an EOF
-// marker whose count matches, and nothing after the marker; an error line,
-// a malformed or oversized line, or a truncated stream is rejected.
-func decodeShardStream(r io.Reader, count int) ([]leakage.TrialResult, error) {
+// coordinator takes from a worker. A trial stream is accepted only if it
+// carries exactly count trial lines followed by an EOF marker whose count
+// matches; a perf stream (perf set, count 0) only if it carries exactly one
+// perf line and no trials before its EOF marker. Data after the marker, an
+// error line, a line of the other kind, a malformed or oversized line, or a
+// truncated stream is rejected.
+func decodeShardStream(r io.Reader, count int, perf bool) (shardOut, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 64<<10), 1<<20)
-	out := make([]leakage.TrialResult, 0, count)
+	out := shardOut{trials: make([]leakage.TrialResult, 0, count)}
 	sawEOF := false
 	for sc.Scan() {
 		if sawEOF {
-			return nil, fmt.Errorf("shard stream has data after its eof marker: %q", sc.Text())
+			return shardOut{}, fmt.Errorf("shard stream has data after its eof marker: %q", sc.Text())
 		}
 		var line ShardLine
 		if err := json.Unmarshal(sc.Bytes(), &line); err != nil {
-			return nil, fmt.Errorf("bad shard stream line %q: %w", sc.Text(), err)
+			return shardOut{}, fmt.Errorf("bad shard stream line %q: %w", sc.Text(), err)
 		}
 		switch {
 		case line.Err != "":
-			return nil, errors.New(line.Err)
+			return shardOut{}, errors.New(line.Err)
 		case line.EOF:
-			if line.Count != len(out) {
-				return nil, fmt.Errorf("shard stream inconsistent: eof says %d trials, streamed %d",
-					line.Count, len(out))
+			if line.Count != len(out.trials) {
+				return shardOut{}, fmt.Errorf("shard stream inconsistent: eof says %d trials, streamed %d",
+					line.Count, len(out.trials))
 			}
 			sawEOF = true
+		case line.Perf != nil:
+			if !perf || out.perf != nil || line.Trial != nil {
+				return shardOut{}, fmt.Errorf("unexpected perf line %q in shard stream", sc.Text())
+			}
+			out.perf = line.Perf
 		case line.Trial != nil:
-			out = append(out, *line.Trial)
+			if perf {
+				return shardOut{}, fmt.Errorf("unexpected trial line %q in perf stream", sc.Text())
+			}
+			out.trials = append(out.trials, *line.Trial)
 		}
 	}
 	if err := sc.Err(); err != nil {
-		return nil, fmt.Errorf("shard stream: %w", err)
+		return shardOut{}, fmt.Errorf("shard stream: %w", err)
 	}
 	if !sawEOF {
-		return nil, fmt.Errorf("shard stream truncated after %d/%d trials (no eof marker)", len(out), count)
+		return shardOut{}, fmt.Errorf("shard stream truncated after %d/%d trials (no eof marker)", len(out.trials), count)
 	}
-	if len(out) != count {
-		return nil, fmt.Errorf("shard returned %d trials, want %d", len(out), count)
+	if len(out.trials) != count {
+		return shardOut{}, fmt.Errorf("shard returned %d trials, want %d", len(out.trials), count)
+	}
+	if perf && out.perf == nil {
+		return shardOut{}, errors.New("perf stream carries no perf line")
 	}
 	return out, nil
 }

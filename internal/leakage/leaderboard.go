@@ -7,11 +7,7 @@ import (
 	"sort"
 	"strings"
 
-	"secdir/internal/area"
-	"secdir/internal/coherence"
-	"secdir/internal/config"
 	"secdir/internal/metrics"
-	"secdir/internal/trace"
 )
 
 // LeaderboardNames lists the defenses the cross-defense leaderboard races, in
@@ -25,19 +21,10 @@ var LeaderboardStrategies = []string{"primeprobe", "evictreload"}
 
 // LeaderboardRow is one (defense, strategy) cell of the leaderboard: the
 // leakage verdict joined with the defense's deterministic performance and
-// hardware-cost estimates. SimNsAccess, StorageKB and AreaMM2 are per-defense
-// (repeated across a defense's strategy rows).
+// hardware-cost estimates, which repeat across a defense's strategy rows.
 type LeaderboardRow struct {
 	Verdict
-	// SimNsAccess is the average simulated memory-access latency under the
-	// uniform mixed workload, in nanoseconds at the 2 GHz core clock. It is
-	// computed from the engine's deterministic latency model, so it is
-	// bit-reproducible — no wall clock involved.
-	SimNsAccess float64 `json:"sim_ns_access"`
-	// StorageKB is the defense's per-slice directory storage.
-	StorageKB float64 `json:"storage_kb"`
-	// AreaMM2 is the per-slice silicon estimate of the Table 7 CACTI model.
-	AreaMM2 float64 `json:"area_mm2"`
+	PerfResult
 }
 
 // Leaderboard is the outcome of a cross-defense race.
@@ -65,7 +52,8 @@ type LeaderboardOptions struct {
 	Workers       int
 	Seed          int64
 	// PerfAccesses is the measured-loop length of the simulated-latency
-	// probe (default 100k, after an equal warm-up).
+	// probe (default DefaultPerfAccesses, after an equal warm-up; at most
+	// MaxPerfAccesses).
 	PerfAccesses int
 	// Metrics receives the leakage counters/histograms; nil is a no-op.
 	Metrics *metrics.Registry
@@ -75,124 +63,38 @@ type LeaderboardOptions struct {
 }
 
 // RunLeaderboard races every configured defense through the leakage lab and
-// the deterministic performance probe. Rows come out in (defense, strategy)
-// order; results are reproducible for fixed options, including across worker
-// counts.
+// the deterministic performance probe, all on one worker pool of Workers
+// goroutines (see Plan): each defense's probe overlaps the trials. Rows come
+// out in (defense, strategy) order; results are reproducible for fixed
+// options, including across worker counts.
 func RunLeaderboard(ctx context.Context, o LeaderboardOptions) (*Leaderboard, error) {
-	if len(o.Configs) == 0 {
-		o.Configs = append([]string(nil), LeaderboardNames...)
+	p, err := PlanLeaderboard(o, 1)
+	if err != nil {
+		return nil, err
 	}
-	if len(o.Strategies) == 0 {
-		ss, err := ParseStrategyList(strings.Join(LeaderboardStrategies, ","))
-		if err != nil {
-			return nil, err
-		}
-		o.Strategies = ss
+	res, err := p.Execute(ctx, p.progressHooks(o.Progress))
+	if err != nil {
+		return nil, err
 	}
-	if o.Cores <= 0 {
-		o.Cores = 8
-	}
-	if o.PerfAccesses <= 0 {
-		o.PerfAccesses = 100_000
-	}
-	base := Options{
-		Trials:        o.Trials,
-		Rounds:        o.Rounds,
-		EvictionLines: o.EvictionLines,
-		Workers:       o.Workers,
-		Seed:          o.Seed,
-		Metrics:       o.Metrics,
-	}.withDefaults()
-
-	lb := &Leaderboard{Trials: base.Trials, Rounds: base.Rounds, Seed: base.Seed}
-	for _, name := range o.Configs {
-		cfg, err := ParseConfig(name, o.Cores)
-		if err != nil {
-			return nil, err
-		}
-		ns, kb, mm2, err := PerfCost(name, o.Cores, o.PerfAccesses)
-		if err != nil {
-			return nil, err
-		}
-		for _, s := range o.Strategies {
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
-			cell := base
-			cell.Config = cfg
-			cell.ConfigName = name
-			cell.Strategy = s
-			if o.Progress != nil {
-				stage := name + "/" + s.Name()
-				cell.Progress = func(done, total int) { o.Progress(stage, done, total) }
-			}
-			v, err := Run(ctx, cell)
-			if err != nil {
-				return nil, fmt.Errorf("leakage: %s/%s: %w", name, s.Name(), err)
-			}
-			lb.Rows = append(lb.Rows, LeaderboardRow{
-				Verdict:     v,
-				SimNsAccess: ns,
-				StorageKB:   kb,
-				AreaMM2:     mm2,
-			})
-		}
-	}
-	return lb, nil
+	return p.Leaderboard(res)
 }
 
 // PerfCost computes one defense's deterministic leaderboard columns: the
 // simulated-latency probe (mean ns/access at 2 GHz over the fixed uniform
 // workload) and the Table 7 cost model (per-slice storage KB and silicon
-// mm²). The fleet coordinator computes these locally — they are
-// bit-reproducible functions of the configuration, so there is nothing to
-// distribute — and joins them with the verdicts merged from remote shards.
+// mm²). It runs the probe alone, without a context; cores and perfAccesses
+// <= 0 take their defaults.
 func PerfCost(name string, cores, perfAccesses int) (simNs, storageKB, areaMM2 float64, err error) {
-	if cores <= 0 {
-		cores = 8
-	}
-	if perfAccesses <= 0 {
-		perfAccesses = 100_000
-	}
-	cfg, err := ParseConfig(name, cores)
+	p, err := PlanPerf(name, cores, max(perfAccesses, 0))
 	if err != nil {
 		return 0, 0, 0, err
 	}
-	ns, err := measureSimNs(cfg, perfAccesses)
+	res, err := p.Execute(context.Background(), Hooks{})
 	if err != nil {
-		return 0, 0, 0, fmt.Errorf("leakage: %s performance probe: %w", name, err)
+		return 0, 0, 0, err
 	}
-	storage, banks, ok := area.DefenseStorage(name, cores)
-	var kb, mm2 float64
-	if ok {
-		kb = area.KB(storage.Total())
-		mm2 = area.AreaMM2(kb, banks)
-	}
-	return ns, kb, mm2, nil
-}
-
-// measureSimNs runs the deterministic performance probe: a fixed-seed uniform
-// mixed workload (the bench harness's geometry) over a freshly built engine,
-// reporting the mean simulated access latency in nanoseconds at 2 GHz. The
-// engine's latency model is cycle-deterministic, so the result depends only
-// on the configuration.
-func measureSimNs(cfg config.Config, accesses int) (float64, error) {
-	e, err := coherence.NewEngine(cfg.WithSeed(7))
-	if err != nil {
-		return 0, err
-	}
-	gen := trace.NewUniform(1<<24, 64<<10, 0.25, 0, 7)
-	mask := cfg.Cores - 1
-	for i := 0; i < accesses; i++ { // warm-up: fills and migrations settle
-		a := gen.Next()
-		e.Access(i&mask, a.Line, a.Write)
-	}
-	var cycles uint64
-	for i := 0; i < accesses; i++ {
-		a := gen.Next()
-		cycles += uint64(e.Access(i&mask, a.Line, a.Write).Latency)
-	}
-	return float64(cycles) / float64(accesses) / 2.0, nil
+	r := res.Perf[0]
+	return r.SimNsAccess, r.StorageKB, r.AreaMM2, nil
 }
 
 // CSV renders the leaderboard as a header plus one row per cell, the exact

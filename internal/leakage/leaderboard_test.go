@@ -63,14 +63,15 @@ func TestLeaderboardGolden(t *testing.T) {
 	checkGolden(t, "leaderboard.csv", head, rows)
 }
 
-// TestLeaderboardWorkerInvariance re-runs one leaderboard cell at 1 worker
-// and at 4 and requires bit-identical rows: the trial fan-out must only
-// change scheduling, never results, or the committed golden would depend on
-// the machine that generated it.
+// TestLeaderboardWorkerInvariance races two defenses through both headline
+// strategies at 1, 2, 3 and 8 workers and requires bit-identical rows. The
+// pool size changes which worker claims which unit — and so which engine is
+// reset for which trials and probes — but must never change a result, or the
+// committed golden would depend on the machine that generated it.
 func TestLeaderboardWorkerInvariance(t *testing.T) {
 	run := func(workers int) []LeaderboardRow {
 		lb, err := RunLeaderboard(context.Background(), LeaderboardOptions{
-			Configs:       []string{"skewed"},
+			Configs:       []string{"skewed", "dls"},
 			Trials:        20,
 			Rounds:        16,
 			EvictionLines: lbEvLines,
@@ -83,8 +84,13 @@ func TestLeaderboardWorkerInvariance(t *testing.T) {
 		}
 		return lb.Rows
 	}
-	serial, parallel := run(1), run(4)
-	if !reflect.DeepEqual(serial, parallel) {
-		t.Fatalf("leaderboard rows depend on the worker count:\n 1 worker: %+v\n 4 workers: %+v", serial, parallel)
+	want := run(1)
+	if len(want) != 4 {
+		t.Fatalf("got %d rows, want 4 (2 defenses x 2 strategies)", len(want))
+	}
+	for _, workers := range []int{2, 3, 8} {
+		if got := run(workers); !reflect.DeepEqual(got, want) {
+			t.Fatalf("leaderboard rows depend on the worker count:\n 1 worker: %+v\n %d workers: %+v", want, workers, got)
+		}
 	}
 }

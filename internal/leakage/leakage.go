@@ -5,8 +5,6 @@ import (
 	"fmt"
 	"math"
 	"runtime"
-	"sync"
-	"sync/atomic"
 
 	"secdir/internal/attack"
 	"secdir/internal/coherence"
@@ -175,56 +173,35 @@ type trialOut struct {
 }
 
 // Run executes the Monte-Carlo measurement described by o and returns its
-// Verdict. Each trial builds a fresh engine from o.Config reseeded with a
-// trial-specific seed, mounts the strategy's driver, and runs a balanced
-// random schedule of victim-active and victim-idle rounds; the trial's two
-// half-means are one observation each in the distributions the verdict
-// statistics are computed over. Deterministic for fixed Options (including
-// Workers — the fan-out only changes scheduling, not results). Run is the
-// single-shard case of RunShard + MergeVerdict; the distributed fleet drives
-// the same pair over partial trial ranges.
+// Verdict. Each trial runs on a machine built from o.Config (or reset in
+// place, which is bit-identical) with a trial-specific seed, mounts the
+// strategy's driver, and runs a balanced random schedule of victim-active
+// and victim-idle rounds; the trial's two half-means are one observation
+// each in the distributions the verdict statistics are computed over.
+// Deterministic for fixed Options (including Workers — the fan-out only
+// changes scheduling, not results). Run is the single-shard case of
+// RunShard + MergeVerdict; the distributed fleet drives the same pair over
+// partial trial ranges.
 func Run(ctx context.Context, o Options) (Verdict, error) {
-	o = o.withDefaults()
-
-	// Coarse progress throttle: ~10 updates per run, always including the
-	// final one.
-	var done int64
-	lastReported := int64(0)
-	var progressMu sync.Mutex
-	step := o.Trials / 10
-	if step < 1 {
-		step = 1
-	}
-	emit := func(TrialResult) {
-		d := atomic.AddInt64(&done, 1)
-		if o.Progress == nil {
-			return
-		}
-		progressMu.Lock()
-		if d-lastReported >= int64(step) || d == int64(o.Trials) {
-			lastReported = d
-			progressMu.Unlock()
-			o.Progress(int(d), o.Trials)
-			return
-		}
-		progressMu.Unlock()
-	}
-
-	out, err := RunShard(ctx, o, 0, o.Trials, emit)
+	p, err := PlanShard(o, 0, o.withDefaults().Trials)
 	if err != nil {
 		return Verdict{}, err
 	}
-	return MergeVerdict(o, out)
+	var h Hooks
+	if o.Progress != nil {
+		h.Progress = func(_, done int) { o.Progress(done, p.Base.Trials) }
+	}
+	res, err := p.Execute(ctx, h)
+	if err != nil {
+		return Verdict{}, err
+	}
+	return MergeVerdict(p.Base, res.Trials[0])
 }
 
-// runTrial executes one independent trial on the worker's pooled engine:
-// reset (or first-trial fresh) machine, fresh driver, one balanced shuffled
-// schedule, and returns the two half-means.
-func runTrial(o Options, params attack.Params, seed int64, te *trialEngine) (trialOut, error) {
-	e, err := te.engine(o, seed)
-	if err != nil {
-		return trialOut{}, err
-	}
+// runTrial executes one independent trial on e, a machine freshly reset to
+// the trial seed: fresh driver, one balanced shuffled schedule, and returns
+// the two half-means.
+func runTrial(o Options, params attack.Params, seed int64, e *coherence.Engine) (trialOut, error) {
 	d, err := o.Strategy.NewDriver(e, params)
 	if err != nil {
 		return trialOut{}, err
@@ -267,33 +244,6 @@ func runTrial(o Options, params attack.Params, seed int64, te *trialEngine) (tri
 		res.accesses += cs.Accesses
 	}
 	return res, nil
-}
-
-// trialEngine is one worker's reusable machine. The worker's first trial
-// constructs the engine; every later trial resets it in place with the new
-// trial seed. Engine.Reset is pinned bit-identical to fresh construction by
-// the coherence oracle tests, so pooling cannot perturb verdicts or break the
-// worker-count invariance the fleet's lossless merges rely on — it only
-// removes the per-trial allocation of caches and directories.
-type trialEngine struct {
-	eng *coherence.Engine
-}
-
-// engine returns the pooled machine reset for the trial seed, building it on
-// first use.
-func (te *trialEngine) engine(o Options, seed int64) (*coherence.Engine, error) {
-	if te.eng != nil {
-		if err := te.eng.Reset(seed); err != nil {
-			return nil, err
-		}
-		return te.eng, nil
-	}
-	e, err := coherence.NewEngine(o.Config.WithSeed(seed))
-	if err != nil {
-		return nil, err
-	}
-	te.eng = e
-	return e, nil
 }
 
 // mean returns the arithmetic mean of x (0 for an empty slice).

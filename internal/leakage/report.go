@@ -48,61 +48,19 @@ type Report struct {
 	Verdicts []Verdict `json:"verdicts"`
 }
 
-// RunReport sweeps every (config, strategy) cell sequentially (each cell
-// already fans out across Workers) and assembles the Report. The context
-// cancels between and within cells.
+// RunReport runs every (config, strategy) cell on one worker pool of
+// Workers goroutines (see Plan) and assembles the Report, cells in
+// row-major order. The context cancels between trials.
 func RunReport(ctx context.Context, o ReportOptions) (*Report, error) {
-	if len(o.Configs) == 0 {
-		o.Configs = append([]string(nil), ConfigNames...)
+	p, err := PlanReport(o, 1)
+	if err != nil {
+		return nil, err
 	}
-	if len(o.Strategies) == 0 {
-		o.Strategies = DefaultSuite()
+	res, err := p.Execute(ctx, p.progressHooks(o.Progress))
+	if err != nil {
+		return nil, err
 	}
-	if o.Cores <= 0 {
-		o.Cores = 8
-	}
-	base := Options{
-		Trials:        o.Trials,
-		Rounds:        o.Rounds,
-		EvictionLines: o.EvictionLines,
-		Workers:       o.Workers,
-		Seed:          o.Seed,
-		Confidence:    o.Confidence,
-		Resamples:     o.Resamples,
-		Metrics:       o.Metrics,
-	}.withDefaults()
-
-	rep := &Report{
-		Trials:     base.Trials,
-		Rounds:     base.Rounds,
-		Seed:       base.Seed,
-		Confidence: base.Confidence,
-	}
-	for _, cfgName := range o.Configs {
-		cfg, err := ParseConfig(cfgName, o.Cores)
-		if err != nil {
-			return nil, err
-		}
-		for _, s := range o.Strategies {
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
-			cell := base
-			cell.Config = cfg
-			cell.ConfigName = cfgName
-			cell.Strategy = s
-			if o.Progress != nil {
-				stage := cfgName + "/" + s.Name()
-				cell.Progress = func(done, total int) { o.Progress(stage, done, total) }
-			}
-			v, err := Run(ctx, cell)
-			if err != nil {
-				return nil, fmt.Errorf("leakage: %s/%s: %w", cfgName, s.Name(), err)
-			}
-			rep.Verdicts = append(rep.Verdicts, v)
-		}
-	}
-	return rep, nil
+	return p.Report(res)
 }
 
 // Text renders the report as an aligned table with one row per cell and a

@@ -3,9 +3,6 @@ package leakage
 import (
 	"context"
 	"fmt"
-	"sync"
-	"sync/atomic"
-	"time"
 
 	"secdir/internal/attack"
 	"secdir/internal/rng"
@@ -75,85 +72,19 @@ func attackParams(o Options) attack.Params {
 // RunShard(ctx, o, 0, o.Trials, nil); any partition of that range merges
 // back losslessly through MergeVerdict.
 func RunShard(ctx context.Context, o Options, start, count int, emit func(TrialResult)) ([]TrialResult, error) {
-	if err := o.Validate(); err != nil {
+	p, err := PlanShard(o, start, count)
+	if err != nil || count == 0 {
 		return nil, err
 	}
-	o = o.withDefaults()
-	if o.Strategy == nil {
-		return nil, fmt.Errorf("leakage: Options.Strategy is nil")
+	var h Hooks
+	if emit != nil {
+		h.Trial = func(_ int, tr TrialResult) { emit(tr) }
 	}
-	if o.Config.Cores < 2 {
-		return nil, fmt.Errorf("leakage: need at least 2 cores, have %d", o.Config.Cores)
-	}
-	if start < 0 || count < 0 || start+count > o.Trials {
-		return nil, fmt.Errorf("leakage: shard [%d,%d) outside trial range [0,%d)", start, start+count, o.Trials)
-	}
-	if count == 0 {
-		return nil, nil
-	}
-
-	reg := o.Metrics
-	trialsTotal := reg.Counter("leakage/trials_total")
-	trialErrs := reg.Counter("leakage/trial_errors_total")
-	trialMicros := reg.Histogram("leakage/trial_micros")
-
-	seeds := trialSeeds(o.Seed, o.Trials)
-	params := attackParams(o)
-
-	out := make([]TrialResult, count)
-	next := int64(-1) // atomic cursor over [0, count)
-	var firstErr atomic.Value
-	var emitMu sync.Mutex
-
-	workers := o.Workers
-	if workers > count {
-		workers = count
-	}
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			// Each worker pools one engine across all the trials it claims;
-			// Engine.Reset between trials is bit-identical to a fresh build,
-			// so which worker runs which trial still cannot matter.
-			var te trialEngine
-			for {
-				i := int(atomic.AddInt64(&next, 1))
-				if i >= count {
-					return
-				}
-				if ctx.Err() != nil || firstErr.Load() != nil {
-					return
-				}
-				idx := start + i
-				t0 := time.Now()
-				res, err := runTrial(o, params, seeds[idx], &te)
-				if err != nil {
-					trialErrs.Inc()
-					firstErr.CompareAndSwap(nil, err)
-					return
-				}
-				tr := TrialResult{Index: idx, Active: res.active, Idle: res.idle, Accesses: res.accesses}
-				out[i] = tr
-				trialsTotal.Inc()
-				trialMicros.Observe(uint64(time.Since(t0).Microseconds()))
-				if emit != nil {
-					emitMu.Lock()
-					emit(tr)
-					emitMu.Unlock()
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	if err, _ := firstErr.Load().(error); err != nil {
+	res, err := p.Execute(ctx, h)
+	if err != nil {
 		return nil, err
 	}
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	return out, nil
+	return res.Trials[0], nil
 }
 
 // MergeVerdict reassembles a complete set of per-trial results — every index

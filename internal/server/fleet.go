@@ -3,6 +3,7 @@ package server
 import (
 	"context"
 	"encoding/json"
+	"io"
 	"net/http"
 
 	"secdir/internal/fleet"
@@ -11,8 +12,9 @@ import (
 )
 
 // This file is the server's two fleet faces. Every server is a WORKER: it
-// exposes POST /fleet/shard, executing one trial range of one (config,
-// strategy) cell and streaming the per-trial results back as NDJSON. A
+// exposes POST /fleet/shard, executing one unit of a sweep's plan — a trial
+// range of one (config, strategy) cell, or one configuration's performance
+// probe — and streaming the results back as NDJSON. A
 // server with a fleet.Coordinator attached (secdir-serve -coordinator) is
 // additionally a COORDINATOR: it accepts fleet jobs (JobSpec.Fleet), worker
 // registrations (POST /fleet/register), and serves the per-worker liveness
@@ -71,17 +73,17 @@ func (s *Server) runFleetJob(ctx context.Context, c *fleet.Coordinator, j *Job) 
 	}
 }
 
-// handleShard executes one shard request and streams its trials as NDJSON:
-// {"trial":{...}} lines in completion order, then {"eof":true,"count":N} —
-// or {"error":"..."} if the shard fails mid-stream. 503 while draining, 429
-// when every shard slot is busy (the coordinator retries with backoff).
+// handleShard executes one shard request — a trial range or a performance
+// probe — and streams its result as NDJSON through streamShard. 400 for an
+// invalid request, 503 while draining, 429 when every shard slot is busy
+// (the coordinator retries with backoff).
 func (s *Server) handleShard(w http.ResponseWriter, r *http.Request) {
 	var req fleet.ShardRequest
 	if err := decodeBody(w, r.Body, &req); err != nil {
 		writeError(w, http.StatusBadRequest, "bad shard request: %v", err)
 		return
 	}
-	opts, err := req.Options()
+	plan, err := req.Plan()
 	if err != nil {
 		writeError(w, http.StatusBadRequest, "bad shard request: %v", err)
 		return
@@ -105,37 +107,48 @@ func (s *Server) handleShard(w http.ResponseWriter, r *http.Request) {
 
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	w.WriteHeader(http.StatusOK)
-	flusher, _ := w.(http.Flusher)
-	enc := json.NewEncoder(w)
-	count := 0
-	emit := func(tr leakage.TrialResult) { // serialized by RunShard
-		t := tr
-		_ = enc.Encode(fleet.ShardLine{Trial: &t})
-		count++
-		if flusher != nil {
-			flusher.Flush()
-		}
+	var flush func()
+	if f, ok := w.(http.Flusher); ok {
+		flush = f.Flush
 	}
 
 	// The shard's trial counters go to a private registry, folded into the
 	// cumulative snapshot when the shard ends — the same per-run fold runJob
 	// does for jobs.
 	shardReg := metrics.New()
-	opts.Metrics = shardReg
-	_, err = leakage.RunShard(r.Context(), opts, req.Start, req.Count, emit)
+	plan.Base.Metrics = shardReg
+	streamShard(r.Context(), plan, w, flush)
 	snap := shardReg.Snapshot()
 	s.mu.Lock()
 	s.cum = s.cum.Merge(snap)
 	s.mu.Unlock()
+}
 
+// streamShard executes a shard request's plan and writes its NDJSON response
+// to w: {"trial":...} lines in completion order, or one {"perf":...} line
+// for a probe, then {"eof":true,"count":N} — or {"error":"..."} if the unit
+// fails. flush (nil = none) runs after every line.
+func streamShard(ctx context.Context, p *leakage.Plan, w io.Writer, flush func()) {
+	enc := json.NewEncoder(w)
+	write := func(l fleet.ShardLine) {
+		_ = enc.Encode(l)
+		if flush != nil {
+			flush()
+		}
+	}
+	count := 0
+	_, err := p.Execute(ctx, leakage.Hooks{
+		Trial: func(_ int, tr leakage.TrialResult) {
+			count++
+			write(fleet.ShardLine{Trial: &tr})
+		},
+		Perf: func(_ int, r leakage.PerfResult) { write(fleet.ShardLine{Perf: &r}) },
+	})
 	if err != nil {
-		_ = enc.Encode(fleet.ShardLine{Err: err.Error()})
-	} else {
-		_ = enc.Encode(fleet.ShardLine{EOF: true, Count: count})
+		write(fleet.ShardLine{Err: err.Error()})
+		return
 	}
-	if flusher != nil {
-		flusher.Flush()
-	}
+	write(fleet.ShardLine{EOF: true, Count: count})
 }
 
 // handleFleetRegister accepts a worker's registration/heartbeat. 404 unless

@@ -103,6 +103,67 @@ func TestShardEndpoint(t *testing.T) {
 	}
 }
 
+// TestShardEndpointPerfRequest exercises the probe half of the worker face:
+// a perf request is answered by exactly one perf line and a zero-count EOF
+// marker, carrying the same columns as a direct leakage.PerfCost. An
+// oversized or negative perf_accesses gets a 400 before any engine is built.
+func TestShardEndpointPerfRequest(t *testing.T) {
+	s := newTestServer(t, quickConfig())
+	post := func(req fleet.ShardRequest) *http.Response {
+		t.Helper()
+		body, err := json.Marshal(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.Post(s.ts.URL+"/fleet/shard", "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return resp
+	}
+
+	req := fleet.ShardRequest{Config: "skewed", Cores: 8, Perf: true, PerfAccesses: 20_000}
+	resp := post(req)
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("perf request HTTP %d, want 200", resp.StatusCode)
+	}
+	var lines []fleet.ShardLine
+	sc := bufio.NewScanner(resp.Body)
+	for sc.Scan() {
+		var line fleet.ShardLine
+		if err := json.Unmarshal(sc.Bytes(), &line); err != nil {
+			t.Fatalf("bad NDJSON line %q: %v", sc.Text(), err)
+		}
+		lines = append(lines, line)
+	}
+	if err := sc.Err(); err != nil {
+		t.Fatal(err)
+	}
+	if len(lines) != 2 || lines[0].Perf == nil || lines[0].Trial != nil || !lines[1].EOF || lines[1].Count != 0 {
+		t.Fatalf("perf stream %+v, want one perf line then a zero-count eof", lines)
+	}
+	ns, kb, mm2, err := leakage.PerfCost(req.Config, req.Cores, req.PerfAccesses)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := (leakage.PerfResult{SimNsAccess: ns, StorageKB: kb, AreaMM2: mm2}); *lines[0].Perf != want {
+		t.Errorf("streamed probe %+v, want %+v", *lines[0].Perf, want)
+	}
+
+	for _, bad := range []fleet.ShardRequest{
+		{Config: "skewed", Cores: 8, Perf: true, PerfAccesses: leakage.MaxPerfAccesses + 1},
+		{Config: "skewed", Cores: 8, Perf: true, PerfAccesses: -1},
+		{Config: "nosuch", Cores: 8, Perf: true},
+	} {
+		resp := post(bad)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("perf request %+v: HTTP %d, want 400", bad, resp.StatusCode)
+		}
+	}
+}
+
 // TestOversizedRequestsRejected: trial, round and eviction-set sizes far beyond
 // any measurement are refused with a 400 on both endpoints that accept them,
 // before anything is allocated for them.
@@ -125,6 +186,7 @@ func TestOversizedRequestsRejected(t *testing.T) {
 		{Kind: KindLeak, Rounds: leakage.MaxRounds + 2},
 		{Kind: KindLeak, Resamples: leakage.MaxResamples + 1},
 		{Kind: KindLeaderboard, EvictionLines: leakage.MaxEvictionLines + 1},
+		{Kind: KindLeaderboard, PerfAccesses: leakage.MaxPerfAccesses + 1},
 		{Kind: KindAttack, EvictionLines: huge},
 	} {
 		s.submit(t, spec, http.StatusBadRequest)

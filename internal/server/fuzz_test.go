@@ -14,7 +14,7 @@ import (
 // FuzzJobSpec drives arbitrary submit bodies through the handler's decode
 // and JobSpec.Normalize. Neither may panic, and an accepted spec must fit the
 // simulated machine, stay within the leakage bounds on every field its kind
-// sizes allocations with, and normalize again to itself. The seed corpus under
+// sizes allocations or loops with, and normalize again to itself. The seed corpus under
 // testdata/fuzz/FuzzJobSpec holds one spec per job kind.
 func FuzzJobSpec(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -31,6 +31,9 @@ func FuzzJobSpec(f *testing.F) {
 		}
 		if spec.Kind != KindAttack && sized && (spec.Trials > leakage.MaxTrials || spec.Resamples > leakage.MaxResamples) {
 			t.Fatalf("accepted trials %d / resamples %d above the leakage bounds", spec.Trials, spec.Resamples)
+		}
+		if spec.Kind == KindLeaderboard && spec.PerfAccesses > leakage.MaxPerfAccesses {
+			t.Fatalf("accepted perf_accesses %d above MaxPerfAccesses", spec.PerfAccesses)
 		}
 		again := spec
 		again.Experiments = slices.Clone(spec.Experiments)

@@ -283,9 +283,10 @@ func runLeaderboard(ctx context.Context, spec JobSpec, reg *metrics.Registry, pr
 }
 
 // gridProgress adapts a job ProgressFunc to the leakage sweeps' per-cell
-// convention: grid cells run in configs×strategies order, so each cell's
-// trial counts are offset to make Done climb monotonically over the whole
-// job. Returns nil when progress is nil.
+// convention: each cell's trial counts are offset by its configs×strategies
+// position, so Done climbs monotonically per stage toward the job's total
+// (the cells themselves run interleaved on one worker pool). Returns nil
+// when progress is nil.
 func gridProgress(configs, strategies []string, trials int, progress ProgressFunc) func(stage string, done, total int) {
 	if progress == nil {
 		return nil

@@ -95,7 +95,7 @@ type JobSpec struct {
 	Confidence float64 `json:"confidence,omitempty"`
 	Resamples  int     `json:"resamples,omitempty"`
 	// PerfAccesses (KindLeaderboard) sizes the deterministic latency probe
-	// (default 100k).
+	// (default 100k, at most leakage.MaxPerfAccesses).
 	PerfAccesses int `json:"perf_accesses,omitempty"`
 
 	// Fleet (KindLeak, KindLeaderboard) asks the server to run the sweep
@@ -205,6 +205,9 @@ func (s *JobSpec) Normalize() error {
 		}
 		if s.Resamples < 0 || s.PerfAccesses < 0 {
 			return fmt.Errorf("resamples and perf_accesses must be >= 0, got %d/%d", s.Resamples, s.PerfAccesses)
+		}
+		if s.PerfAccesses > leakage.MaxPerfAccesses {
+			return fmt.Errorf("perf_accesses %d exceeds the maximum %d", s.PerfAccesses, leakage.MaxPerfAccesses)
 		}
 		o := leakage.Options{Trials: s.Trials, Rounds: s.Rounds, Resamples: s.Resamples, EvictionLines: s.EvictionLines}
 		if err := o.Validate(); err != nil {
